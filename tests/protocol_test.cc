@@ -15,6 +15,7 @@
 
 #include "common/error.h"
 #include "common/serialize.h"
+#include "ingest/record_journal.h"
 #include "serve/protocol.h"
 
 namespace grafics::serve {
@@ -174,6 +175,63 @@ TEST(ProtocolTest, EveryMessageTypeRoundTrips) {
     std::uint32_t version = 0;
     EXPECT_EQ(DecodePayload(EncodePayload(message), &version), message);
     EXPECT_EQ(version, kProtocolVersion);
+  }
+}
+
+// layout-frozen: v7 — check_invariants.py requires this marker next to the
+// byte-exact assertion for kProtocolVersion, the one supported dialect.
+TEST(ProtocolTest, V7EncodingsAreFrozen) {
+  // Length and CRC-32 of every AllMessageTypes() payload. Any change to the
+  // bytes a deployed v7 peer sends or expects fails here; a real layout
+  // change needs a version bump, not new pins.
+  struct Pinned {
+    std::size_t bytes;
+    std::uint32_t crc32;
+  };
+  const std::vector<Pinned> expected = {
+      {128, 0x2A9830D7},  // named predict batch
+      {66, 0xB7FCB2CB},   // single-record predict
+      {69, 0xD48D71EB},   // mixed predict response
+      {17, 0xE8827B81},   // Ping{}
+      {21, 0x8572A51E},   // Ping{mall}
+      {30, 0xC9DF6B1E},   // pong
+      {47, 0xD231F987},   // failed pong
+      {25, 0xF8345039},   // ReloadRequest{}
+      {29, 0xD0519657},   // ReloadRequest{mall}
+      {40, 0x1B403003},   // reload response
+      {9, 0xC58AD482},    // ListModelsRequest
+      {71, 0x22E432A2},   // ListModelsResponse
+      {17, 0x7DACF11F},   // StatsRequest{}
+      {23, 0xB98BB7BA},   // StatsRequest{campus}
+      {266, 0x67728DF4},  // StatsResponse
+      {117, 0x1F0F750C},  // SubmitRecordsRequest
+      {43, 0x2241D052},   // SubmitRecordsResponse
+      {17, 0x2040A013},   // IngestStatsRequest{}
+      {23, 0x33F7D2D9},   // IngestStatsRequest{campus}
+      {140, 0x436F824B},  // IngestStatsResponse
+      {14, 0xD912D6B4},   // IngestStatsResponse{}
+      {29, 0x163E9FD0},   // pinned ReloadRequest
+      {17, 0x0EB68895},   // CheckpointRequest{}
+      {21, 0x1FC81CE5},   // CheckpointRequest{mall}
+      {59, 0xD8404ED9},   // CheckpointResponse
+      {35, 0x0291729A},   // CheckpointResponse{}
+      {23, 0x3260E472},   // CompactRequest
+      {51, 0x9BA94372},   // CompactResponse
+      {17, 0x444239F0},   // ListArtifactsRequest
+      {93, 0xD4280CD7},   // ListArtifactsResponse
+      {14, 0x7B5FF749},   // ListArtifactsResponse{}
+      {9, 0x3633A5CA},    // MetricsRequest
+      {161, 0xF93C1F5B},  // MetricsResponse
+      {17, 0x0ED57CBF},   // MetricsResponse{}
+  };
+  const std::vector<Message> messages = AllMessageTypes();
+  ASSERT_EQ(messages.size(), expected.size());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const std::string payload = EncodePayload(messages[i]);
+    EXPECT_EQ(payload.size(), expected[i].bytes) << "message " << i;
+    EXPECT_EQ(ingest::Crc32(payload.data(), payload.size()),
+              expected[i].crc32)
+        << "message " << i;
   }
 }
 
