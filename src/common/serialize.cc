@@ -42,9 +42,25 @@ void WriteString(std::ostream& out, const std::string& value) {
   Require(out.good(), "serialize: write failed");
 }
 
+void RequireAvailable(std::istream& in, std::uint64_t count,
+                      std::size_t element_bytes, const char* what) {
+  std::streambuf* buffer = in.rdbuf();
+  const std::streampos here =
+      buffer->pubseekoff(0, std::ios::cur, std::ios::in);
+  if (here == std::streampos(-1)) return;
+  const std::streampos end = buffer->pubseekoff(0, std::ios::end, std::ios::in);
+  buffer->pubseekpos(here, std::ios::in);
+  if (end == std::streampos(-1)) return;
+  const auto remaining = static_cast<std::uint64_t>(end - here);
+  Require(count <= remaining / element_bytes,
+          std::string("serialize: ") + what +
+              " is larger than the rest of the stream");
+}
+
 std::string ReadString(std::istream& in) {
   const std::uint64_t size = ReadU64(in);
   Require(size < (1ULL << 32), "serialize: unreasonable string size");
+  RequireAvailable(in, size, 1, "string");
   std::string value(size, '\0');
   in.read(value.data(), static_cast<std::streamsize>(size));
   Require(in.good(), "serialize: unexpected end of stream");
@@ -76,6 +92,8 @@ Matrix ReadMatrix(std::istream& in) {
   const std::uint64_t cols = ReadU64(in);
   Require(rows < (1ULL << 32) && cols < (1ULL << 32),
           "serialize: unreasonable matrix shape");
+  // Both factors are below 2^32, so the element count cannot overflow.
+  RequireAvailable(in, rows * cols, sizeof(double), "matrix");
   Matrix value(rows, cols);
   in.read(reinterpret_cast<char*>(value.data()),
           static_cast<std::streamsize>(value.size() * sizeof(double)));

@@ -38,6 +38,14 @@ std::string ReadString(std::istream& in);
 Matrix ReadMatrix(std::istream& in);
 std::optional<std::int32_t> ReadOptionalI32(std::istream& in);
 
+/// Throws grafics::Error unless `count` elements of `element_bytes` each fit
+/// in the bytes left in `in` past the read position. Decoders call this on
+/// a declared size before allocating for it, so a corrupt or hostile length
+/// field fails cleanly instead of as std::bad_alloc. Streams that cannot
+/// seek (pipes) report no size and pass.
+void RequireAvailable(std::istream& in, std::uint64_t count,
+                      std::size_t element_bytes, const char* what);
+
 /// Writes/checks a 4-byte magic plus u32 version.
 void WriteHeader(std::ostream& out, const char magic[4],
                  std::uint32_t version);
@@ -46,7 +54,7 @@ void CheckHeader(std::istream& in, const char magic[4],
                  std::uint32_t expected_version);
 /// Reads a magic + version header, throwing only on magic mismatch and
 /// returning the version — for formats that decode a range of versions
-/// (e.g. the serve wire protocol) instead of exactly one.
+/// (e.g. the bipartite graph) instead of exactly one.
 std::uint32_t ReadHeader(std::istream& in, const char magic[4]);
 
 }  // namespace grafics

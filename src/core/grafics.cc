@@ -236,9 +236,8 @@ std::vector<std::optional<rf::FloorId>> Grafics::PredictBatch(
 
 namespace {
 constexpr char kModelMagic[4] = {'G', 'R', 'F', 'X'};
-// v1: sampler rebuilt from degrees on load (exact distribution, different
-//     draw sequence). v2: exact negative-sampler tables appended, so a
-//     loaded model is bit-identical to the live one, folds included.
+// v2 carries the exact negative-sampler tables, so a loaded model is
+// bit-identical to the live one, folds included.
 constexpr std::uint32_t kModelVersion = 2;
 constexpr char kDeltaMagic[4] = {'G', 'R', 'F', 'D'};
 constexpr std::uint32_t kDeltaVersion = 1;
@@ -284,9 +283,9 @@ void Grafics::SaveModel(std::ostream& out) const {
     WriteU64(out, a);
     WriteU64(out, b);
   }
-  // v2: the exact sampler state. A v1-style rebuild from degrees produces
-  // the same distribution but a different draw sequence, so models folded
-  // after load would diverge bit-wise from the live daemon.
+  // The exact sampler state: a rebuild from degrees produces the same
+  // distribution but a different draw sequence, so models folded after
+  // load would diverge bit-wise from the live daemon.
   negative_sampler_->Save(out);
   Require(out.good(), "Grafics::SaveModel: write failed");
 }
@@ -299,7 +298,7 @@ Grafics Grafics::LoadModel(const std::string& path) {
 
 Grafics Grafics::LoadModel(std::istream& in) {
   const std::uint32_t version = ReadHeader(in, kModelMagic);
-  Require(version >= 1 && version <= kModelVersion,
+  Require(version == kModelVersion,
           "Grafics::LoadModel: unsupported artifact version " +
               std::to_string(version));
 
@@ -324,18 +323,23 @@ Grafics Grafics::LoadModel(std::istream& in) {
   Require(system.store_->dim() == config.trainer.dim,
           "Grafics::LoadModel: embedding dimension mismatch");
 
+  // Encoded element sizes: u64 cluster id per point, optional<i32> label
+  // (u8 + i32) per cluster, two u64s per merge.
   cluster::ClusteringResult clustering;
   const std::uint64_t points = ReadU64(in);
+  RequireAvailable(in, points, 8, "Grafics::LoadModel: point count");
   clustering.cluster_of_point.resize(points);
   for (std::size_t i = 0; i < points; ++i) {
     clustering.cluster_of_point[i] = ReadU64(in);
   }
   const std::uint64_t clusters = ReadU64(in);
+  RequireAvailable(in, clusters, 5, "Grafics::LoadModel: cluster count");
   clustering.cluster_label.resize(clusters);
   for (std::size_t i = 0; i < clusters; ++i) {
     clustering.cluster_label[i] = ReadOptionalI32(in);
   }
   const std::uint64_t merges = ReadU64(in);
+  RequireAvailable(in, merges, 16, "Grafics::LoadModel: merge count");
   clustering.merge_history.resize(merges);
   for (std::size_t i = 0; i < merges; ++i) {
     clustering.merge_history[i].first = ReadU64(in);
@@ -345,13 +349,8 @@ Grafics Grafics::LoadModel(std::istream& in) {
       std::make_shared<const cluster::ClusteringResult>(std::move(clustering));
   system.knn_classifier_ = std::make_shared<const cluster::KnnClassifier>(
       system.TrainingEmbeddings(), *system.clustering_, config.knn);
-  if (version >= 2) {
-    system.negative_sampler_ =
-        std::make_shared<const embed::NegativeSamplerSet>(
-            embed::NegativeSamplerSet::Load(in));
-  } else {
-    system.RebuildNegativeSampler();
-  }
+  system.negative_sampler_ = std::make_shared<const embed::NegativeSamplerSet>(
+      embed::NegativeSamplerSet::Load(in));
   return system;
 }
 

@@ -156,7 +156,7 @@ class Grafics {
   /// — including future Update draw sequences.
   void SaveModel(const std::string& path) const;
   /// Restores a model saved by SaveModel; ready for Predict immediately.
-  /// Accepts v1 artifacts (sampler rebuilt from degrees) and v2 (exact).
+  /// Accepts artifact format v2 only; any other version throws.
   static Grafics LoadModel(const std::string& path);
 
   /// Stream variants of SaveModel/LoadModel (store::ModelStore writes

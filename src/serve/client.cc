@@ -67,9 +67,9 @@ void Client::Close() {
   }
 }
 
-Message Client::RoundTrip(const Message& request, std::uint32_t version) {
+Message Client::RoundTrip(const Message& request) {
   Require(connected(), "Client: not connected");
-  SendFrame(fd_, request, version);
+  SendFrame(fd_, request);
   std::optional<Message> reply = ReceiveFrame(fd_, config_.max_frame_bytes);
   Require(reply.has_value(), "Client: daemon closed the connection");
   return std::move(*reply);
@@ -180,9 +180,8 @@ ListModelsResponse Client::ListModels() {
   return *response;
 }
 
-StatsResponse Client::Stats(const std::string& model,
-                            std::uint32_t version) {
-  const Message reply = RoundTrip(StatsRequest{model}, version);
+StatsResponse Client::Stats(const std::string& model) {
+  const Message reply = RoundTrip(StatsRequest{model});
   const auto* response = std::get_if<StatsResponse>(&reply);
   Require(response != nullptr, "Client: unexpected reply to stats");
   return *response;
@@ -221,9 +220,8 @@ std::vector<SubmitResult> Client::Submit(
   return results;
 }
 
-IngestStatsResponse Client::IngestStats(const std::string& model,
-                                        std::uint32_t version) {
-  const Message reply = RoundTrip(IngestStatsRequest{model}, version);
+IngestStatsResponse Client::IngestStats(const std::string& model) {
+  const Message reply = RoundTrip(IngestStatsRequest{model});
   const auto* response = std::get_if<IngestStatsResponse>(&reply);
   Require(response != nullptr, "Client: unexpected reply to ingest-stats");
   return *response;
@@ -255,53 +253,6 @@ std::string Client::Metrics() {
   const auto* response = std::get_if<MetricsResponse>(&reply);
   Require(response != nullptr, "Client: unexpected reply to metrics");
   return response->text;
-}
-
-namespace {
-
-/// The one version-ladder walk every negotiated admin query shares: speak
-/// the newest dialect on a fresh connection and retry one version down each
-/// time the daemon rejects the frame. An older daemon rejects an unknown
-/// version by dropping the connection without a reply, which surfaces as
-/// the "closed the connection" transport error; anything else (daemon down,
-/// socket errors, structured failures) propagates untouched so it is
-/// reported as what it is, not masked as a version mismatch.
-template <typename Attempt>
-auto WalkVersionLadder(std::uint32_t floor_version, Attempt attempt)
-    -> decltype(attempt(kProtocolVersion)) {
-  for (std::uint32_t spoken = kProtocolVersion;; --spoken) {
-    try {
-      return attempt(spoken);
-    } catch (const Error& e) {
-      const bool version_rejection =
-          std::string(e.what()).find("closed the connection") !=
-          std::string::npos;
-      if (spoken <= floor_version || !version_rejection) throw;
-    }
-  }
-}
-
-}  // namespace
-
-Client::NegotiatedStatsResult Client::NegotiatedStats(const std::string& host,
-                                                      std::uint16_t port,
-                                                      const std::string& model,
-                                                      ClientConfig config) {
-  return WalkVersionLadder(2, [&](std::uint32_t spoken) {
-    Client client(host, port, config);
-    return NegotiatedStatsResult{client.Stats(model, spoken), spoken};
-  });
-}
-
-Client::NegotiatedIngestStatsResult Client::NegotiatedIngestStats(
-    const std::string& host, std::uint16_t port, const std::string& model,
-    ClientConfig config) {
-  // The ingest surface exists from v3 on, so the ladder stops there.
-  return WalkVersionLadder(3, [&](std::uint32_t spoken) {
-    Client client(host, port, config);
-    return NegotiatedIngestStatsResult{client.IngestStats(model, spoken),
-                                       spoken};
-  });
 }
 
 }  // namespace grafics::serve

@@ -3,9 +3,8 @@
 // One TCP connection, one request/response in flight at a time; concurrency
 // comes from opening more clients (the daemon coalesces across connections).
 // Every call takes an optional model name — empty routes to the daemon's
-// default model, which is also what a v1 daemon serves. Used by the tests,
-// the serve_daemon_qps load generator, and the `grafics remote-*` CLI
-// commands.
+// default model. Used by the tests, the serve_daemon_qps load generator, and
+// the `grafics remote-*` CLI commands.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +18,7 @@
 namespace grafics::serve {
 
 struct ClientConfig {
-  /// Receive-side bound on one reply frame. Batched v2 responses grow with
+  /// Receive-side bound on one reply frame. Batched responses grow with
   /// the batch, so clients sending large batches (or expecting big admin
   /// replies) raise this instead of being capped by their own limit.
   std::size_t max_frame_bytes = kMaxFrameBytes;
@@ -58,37 +57,28 @@ class Client {
       std::size_t max_records_per_frame = kMaxBatchRecords);
 
   /// Health check for the named model (empty = default). The returned Pong
-  /// carries the protocol version the server negotiated for this
-  /// connection's replies (2 for this always-v2 client; the field exists so
-  /// the negotiated dialect is explicit on the wire for any client) and the
-  /// model's generation, so callers observe hot reloads. ok == false (with
-  /// error set) for unknown model names. Note this client only speaks v2 —
-  /// a v1-only daemon rejects its frames outright rather than answering
-  /// with a v1 Pong.
+  /// carries the daemon's protocol version and the model's generation, so
+  /// callers observe hot reloads. ok == false (with error set) for unknown
+  /// model names.
   Pong Ping(const std::string& model = {});
 
   /// Asks the daemon to hot-reload the named model (empty = default);
   /// returns the new model generation. A non-zero `generation` pins a
   /// persistence-store generation instead of re-reading the artifact path —
-  /// the rollback flow, requiring a v6 daemon running with --store-dir.
+  /// the rollback flow, requiring a daemon running with --store-dir.
   /// Throws grafics::Error when the daemon refuses (no model path, unknown
   /// name, unknown generation) or the reload failed.
   std::uint64_t Reload(const std::string& model = {},
                        std::uint64_t generation = 0);
 
-  /// v2 admin: the registry's contents and its default model name.
+  /// Admin: the registry's contents and its default model name.
   ListModelsResponse ListModels();
 
-  /// v2 admin: per-model serving stats; `model` filters to one name
-  /// (empty = all models). `version` selects the request encoding: the
-  /// default speaks the newest dialect; passing an older version (3, 2)
-  /// lets callers degrade gracefully against an older daemon that rejects
-  /// newer frames (fields the chosen dialect lacks decode to their zero
-  /// defaults).
-  StatsResponse Stats(const std::string& model = {},
-                      std::uint32_t version = kProtocolVersion);
+  /// Admin: per-model serving stats; `model` filters to one name (empty =
+  /// all models).
+  StatsResponse Stats(const std::string& model = {});
 
-  /// v3 ingest: submits records for durable journaling and background
+  /// Ingest: submits records for durable journaling and background
   /// fold-in to the named model (empty = default), returning one result per
   /// record in request order. Records are split into frames exactly like
   /// PredictBatch (by count and by encoded size). Rejected records are a
@@ -98,14 +88,12 @@ class Client {
       const std::string& model = {},
       std::size_t max_records_per_frame = kMaxBatchRecords);
 
-  /// v3 ingest admin: per-model ingest counters; `model` filters to one
-  /// name (empty = all attached models). enabled == false means the daemon
-  /// runs without an ingest pipeline. `version` degrades the dialect like
-  /// Stats (the ingest surface exists from v3 on).
-  IngestStatsResponse IngestStats(const std::string& model = {},
-                                  std::uint32_t version = kProtocolVersion);
+  /// Ingest admin: per-model ingest counters; `model` filters to one name
+  /// (empty = all attached models). enabled == false means the daemon runs
+  /// without an ingest pipeline.
+  IngestStatsResponse IngestStats(const std::string& model = {});
 
-  /// v6 persistence admin against the named model (empty = default):
+  /// Persistence admin against the named model (empty = default):
   /// Checkpoint writes the serving snapshot into the daemon's store (a
   /// delta when the snapshot fold-descends from the previous generation),
   /// Compact folds the journal's committed prefix into a checkpoint and
@@ -116,41 +104,16 @@ class Client {
   CompactResponse Compact(const std::string& model = {});
   ListArtifactsResponse ListArtifacts(const std::string& model = {});
 
-  /// v7 telemetry: the daemon's metrics dump in Prometheus text exposition
+  /// Telemetry: the daemon's metrics dump in Prometheus text exposition
   /// format — the same bytes GET /metrics on the admin port serves. Empty
-  /// when the daemon runs without telemetry attached. Requires a v7 daemon;
-  /// older daemons reject the frame by closing the connection.
+  /// when the daemon runs without telemetry attached.
   std::string Metrics();
-
-  /// Stats / IngestStats with automatic downgrade against older daemons:
-  /// speaks the newest dialect on a fresh connection and retries one
-  /// protocol version down (to v2, ingest to v3) each time the daemon
-  /// rejects the frame by closing the connection. Returns the response
-  /// plus the dialect that succeeded, so callers print only the fields
-  /// that dialect actually carried (the rest decode to zero defaults).
-  /// Non-version failures (daemon down, socket errors) propagate untouched.
-  struct NegotiatedStatsResult {
-    StatsResponse stats;
-    std::uint32_t version = 0;
-  };
-  struct NegotiatedIngestStatsResult {
-    IngestStatsResponse stats;
-    std::uint32_t version = 0;
-  };
-  static NegotiatedStatsResult NegotiatedStats(const std::string& host,
-                                               std::uint16_t port,
-                                               const std::string& model = {},
-                                               ClientConfig config = {});
-  static NegotiatedIngestStatsResult NegotiatedIngestStats(
-      const std::string& host, std::uint16_t port,
-      const std::string& model = {}, ClientConfig config = {});
 
   void Close();
   bool connected() const { return fd_ >= 0; }
 
  private:
-  Message RoundTrip(const Message& request,
-                    std::uint32_t version = kProtocolVersion);
+  Message RoundTrip(const Message& request);
 
   ClientConfig config_;
   int fd_ = -1;

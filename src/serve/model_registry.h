@@ -9,7 +9,7 @@
 //
 // The registry owns the models; serve::Server is a thin transport that
 // decodes frames and routes them here by name (empty name = the default
-// model, which is how v1 clients keep working). Load/ReloadFromDisk swap a
+// model). Load/ReloadFromDisk swap a
 // model's snapshot atomically: in-flight batches finish on the snapshot they
 // started with, later batches pick up the new one. Unload drains the model's
 // queue (futures still resolve) and removes it.

@@ -21,25 +21,20 @@ enum class MessageType : std::uint8_t {
   kPong = 4,
   kReloadRequest = 5,
   kReloadResponse = 6,
-  // v2-only admin messages; a v1 frame carrying these type codes is
-  // malformed, exactly as it was for the v1 decoder.
   kListModelsRequest = 7,
   kListModelsResponse = 8,
   kStatsRequest = 9,
   kStatsResponse = 10,
-  // v3-only ingest messages; malformed inside v1 and v2 frames.
   kSubmitRecordsRequest = 11,
   kSubmitRecordsResponse = 12,
   kIngestStatsRequest = 13,
   kIngestStatsResponse = 14,
-  // v6-only persistence messages; malformed inside v1..v5 frames.
   kCheckpointRequest = 15,
   kCheckpointResponse = 16,
   kCompactRequest = 17,
   kCompactResponse = 18,
   kListArtifactsRequest = 19,
   kListArtifactsResponse = 20,
-  // v7-only telemetry messages; malformed inside v1..v6 frames.
   kMetricsRequest = 21,
   kMetricsResponse = 22,
 };
@@ -140,47 +135,10 @@ std::string ReadMessageString(std::istream& in) {
   return ReadBoundedString(in, kMaxFrameBytes, "string field");
 }
 
-/// Shared by the encode visitor and the decode switch: the admin messages
-/// (ListModels/Stats) exist only from protocol v2 on.
-void RequireAdminV2(std::uint32_t version) {
-  Require(version >= 2, "protocol: admin messages require protocol v2");
-}
-
-/// The ingest surface (SubmitRecords/IngestStats) exists only from v3 on.
-void RequireIngestV3(std::uint32_t version) {
-  Require(version >= 3, "protocol: ingest messages require protocol v3");
-}
-
-/// The persistence surface (Checkpoint/Compact/ListArtifacts) exists only
-/// from v6 on.
-void RequireStoreV6(std::uint32_t version) {
-  Require(version >= 6, "protocol: store messages require protocol v6");
-}
-
-/// The telemetry surface (metrics dump) exists only from v7 on.
-void RequireMetricsV7(std::uint32_t version) {
-  Require(version >= 7, "protocol: metrics messages require protocol v7");
-}
-
-void RequireV1Expressible(const std::string& model, std::size_t records,
-                          const char* what) {
-  Require(model.empty(),
-          std::string("protocol: v1 cannot carry a model name in ") + what);
-  Require(records == 1,
-          std::string("protocol: v1 carries exactly one record per ") + what);
-}
-
-void WriteBody(std::ostream& out, const Message& message,
-               std::uint32_t version) {
+void WriteBody(std::ostream& out, const Message& message) {
   struct Visitor {
     std::ostream& out;
-    std::uint32_t version;
     void operator()(const PredictRequest& m) const {
-      if (version == 1) {
-        RequireV1Expressible(m.model, m.records.size(), "PredictRequest");
-        WriteSignalRecord(out, m.records.front());
-        return;
-      }
       WriteModelName(out, m.model);
       Require(!m.records.empty(), "protocol: empty predict batch");
       Require(m.records.size() <= kMaxBatchRecords,
@@ -192,67 +150,33 @@ void WriteBody(std::ostream& out, const Message& message,
     }
     void operator()(const PredictResponse& m) const {
       Require(!m.results.empty(), "protocol: empty predict response");
-      if (version == 1) {
-        Require(m.results.size() == 1,
-                "protocol: v1 carries exactly one result per PredictResponse");
-      } else {
-        Require(m.results.size() <= kMaxBatchRecords,
-                "protocol: oversized predict response");
-        WriteU32(out, static_cast<std::uint32_t>(m.results.size()));
-      }
+      Require(m.results.size() <= kMaxBatchRecords,
+              "protocol: oversized predict response");
+      WriteU32(out, static_cast<std::uint32_t>(m.results.size()));
       for (const PredictResult& result : m.results) {
         WriteU8(out, static_cast<std::uint8_t>(result.status));
         WriteI32(out, result.floor);
         WriteString(out, result.error);
       }
     }
-    void operator()(const Ping& m) const {
-      if (version == 1) {
-        Require(m.model.empty(),
-                "protocol: v1 cannot carry a model name in Ping");
-        return;
-      }
-      WriteModelName(out, m.model);
-    }
+    void operator()(const Ping& m) const { WriteModelName(out, m.model); }
     void operator()(const Pong& m) const {
-      if (version == 1) {
-        // The version field is implicit in the frame header; ok/error do not
-        // exist in v1, where a ping can only succeed.
-        Require(m.ok, "protocol: v1 cannot carry a ping failure");
-        Require(m.error.empty(), "protocol: v1 cannot carry a ping error");
-        WriteU64(out, m.model_generation);
-        return;
-      }
       WriteU32(out, m.protocol_version);
       WriteU8(out, m.ok ? 1 : 0);
       WriteU64(out, m.model_generation);
       WriteString(out, m.error);
     }
     void operator()(const ReloadRequest& m) const {
-      if (version < 6) {
-        // Older dialects cannot ask for a generation pin; failing loudly
-        // beats silently reloading the latest artifact instead.
-        Require(m.generation == 0,
-                "protocol: generation-pinned reload requires protocol v6");
-      }
-      if (version == 1) {
-        Require(m.model.empty(),
-                "protocol: v1 cannot carry a model name in ReloadRequest");
-        return;
-      }
       WriteModelName(out, m.model);
-      if (version >= 6) WriteU64(out, m.generation);
+      WriteU64(out, m.generation);
     }
     void operator()(const ReloadResponse& m) const {
       WriteU8(out, m.ok ? 1 : 0);
       WriteU64(out, m.model_generation);
       WriteString(out, m.message);
     }
-    void operator()(const ListModelsRequest&) const {
-      RequireAdminV2(version);
-    }
+    void operator()(const ListModelsRequest&) const {}
     void operator()(const ListModelsResponse& m) const {
-      RequireAdminV2(version);
       WriteModelName(out, m.default_model);
       Require(m.models.size() <= kMaxModels, "protocol: too many models");
       WriteU32(out, static_cast<std::uint32_t>(m.models.size()));
@@ -263,11 +187,9 @@ void WriteBody(std::ostream& out, const Message& message,
       }
     }
     void operator()(const StatsRequest& m) const {
-      RequireAdminV2(version);
       WriteModelName(out, m.model);
     }
     void operator()(const StatsResponse& m) const {
-      RequireAdminV2(version);
       WriteU64(out, m.connections_accepted);
       Require(m.models.size() <= kMaxModels, "protocol: too many models");
       WriteU32(out, static_cast<std::uint32_t>(m.models.size()));
@@ -278,41 +200,25 @@ void WriteBody(std::ostream& out, const Message& message,
         WriteU64(out, stats.batches);
         WriteU64(out, stats.max_batch);
         WriteU64(out, stats.queue_depth);
-        // The ingest fields exist on the wire only from v3 on and the
-        // snapshot-accounting fields only from v4 on, so older peers keep
-        // receiving their exact historical byte layouts.
-        if (version >= 3) {
-          WriteU8(out, static_cast<std::uint8_t>(stats.last_publish_source));
-          WriteU64(out, stats.pending_ingest);
-        }
-        if (version >= 4) {
-          WriteU64(out, stats.shared_bytes);
-          WriteU64(out, stats.owned_bytes);
-        }
+        WriteU8(out, static_cast<std::uint8_t>(stats.last_publish_source));
+        WriteU64(out, stats.pending_ingest);
+        WriteU64(out, stats.shared_bytes);
+        WriteU64(out, stats.owned_bytes);
       }
-      // The transport block exists on the wire only from v5 on, after the
-      // per-model array, so the v2/v3/v4 byte layouts stay frozen.
-      if (version >= 5) {
-        WriteU64(out, m.transport.connections_live);
-        WriteU64(out, m.transport.connections_harvested_idle);
-        WriteU64(out, m.transport.frames_in);
-        WriteU64(out, m.transport.frames_out);
-        WriteU64(out, m.transport.bytes_in);
-        WriteU64(out, m.transport.bytes_out);
-        WriteU64(out, m.transport.requests_rejected_busy);
-        WriteU64(out, m.transport.event_workers);
-      }
-      // The store block exists on the wire only from v6 on, after the
-      // transport block, so the v5 byte layout stays frozen.
-      if (version >= 6) {
-        WriteU8(out, m.store.enabled ? 1 : 0);
-        WriteU64(out, m.store.base_count);
-        WriteU64(out, m.store.delta_count);
-        WriteU64(out, m.store.journal_bytes_reclaimed);
-      }
+      WriteU64(out, m.transport.connections_live);
+      WriteU64(out, m.transport.connections_harvested_idle);
+      WriteU64(out, m.transport.frames_in);
+      WriteU64(out, m.transport.frames_out);
+      WriteU64(out, m.transport.bytes_in);
+      WriteU64(out, m.transport.bytes_out);
+      WriteU64(out, m.transport.requests_rejected_busy);
+      WriteU64(out, m.transport.event_workers);
+      WriteU8(out, m.store.enabled ? 1 : 0);
+      WriteU64(out, m.store.base_count);
+      WriteU64(out, m.store.delta_count);
+      WriteU64(out, m.store.journal_bytes_reclaimed);
     }
     void operator()(const SubmitRecordsRequest& m) const {
-      RequireIngestV3(version);
       WriteModelName(out, m.model);
       Require(!m.records.empty(), "protocol: empty submit batch");
       Require(m.records.size() <= kMaxBatchRecords,
@@ -323,7 +229,6 @@ void WriteBody(std::ostream& out, const Message& message,
       }
     }
     void operator()(const SubmitRecordsResponse& m) const {
-      RequireIngestV3(version);
       Require(!m.results.empty(), "protocol: empty submit response");
       Require(m.results.size() <= kMaxBatchRecords,
               "protocol: oversized submit response");
@@ -334,11 +239,9 @@ void WriteBody(std::ostream& out, const Message& message,
       }
     }
     void operator()(const IngestStatsRequest& m) const {
-      RequireIngestV3(version);
       WriteModelName(out, m.model);
     }
     void operator()(const IngestStatsResponse& m) const {
-      RequireIngestV3(version);
       WriteU8(out, m.enabled ? 1 : 0);
       Require(m.models.size() <= kMaxModels, "protocol: too many models");
       WriteU32(out, static_cast<std::uint32_t>(m.models.size()));
@@ -352,27 +255,18 @@ void WriteBody(std::ostream& out, const Message& message,
         WriteU64(out, stats.journal_bytes);
         WriteU64(out, stats.publishes);
         WriteU64(out, stats.last_publish_generation);
-        // Fold latency exists on the wire only from v4 on; a v3 peer keeps
-        // receiving the exact v3 byte layout.
-        if (version >= 4) {
-          WriteU64(out, stats.fold_min_us);
-          WriteU64(out, stats.fold_mean_us);
-          WriteU64(out, stats.fold_max_us);
-          WriteU64(out, stats.last_fold_us);
-        }
-        // Journal replay observability exists only from v6 on.
-        if (version >= 6) {
-          WriteU64(out, stats.journal_dropped_bytes);
-          WriteU64(out, stats.replayed_batches);
-        }
+        WriteU64(out, stats.fold_min_us);
+        WriteU64(out, stats.fold_mean_us);
+        WriteU64(out, stats.fold_max_us);
+        WriteU64(out, stats.last_fold_us);
+        WriteU64(out, stats.journal_dropped_bytes);
+        WriteU64(out, stats.replayed_batches);
       }
     }
     void operator()(const CheckpointRequest& m) const {
-      RequireStoreV6(version);
       WriteModelName(out, m.model);
     }
     void operator()(const CheckpointResponse& m) const {
-      RequireStoreV6(version);
       WriteU8(out, m.ok ? 1 : 0);
       WriteU64(out, m.generation);
       WriteU8(out, m.delta ? 1 : 0);
@@ -380,22 +274,18 @@ void WriteBody(std::ostream& out, const Message& message,
       WriteString(out, m.message);
     }
     void operator()(const CompactRequest& m) const {
-      RequireStoreV6(version);
       WriteModelName(out, m.model);
     }
     void operator()(const CompactResponse& m) const {
-      RequireStoreV6(version);
       WriteU8(out, m.ok ? 1 : 0);
       WriteU64(out, m.generation);
       WriteU64(out, m.journal_bytes_reclaimed);
       WriteString(out, m.message);
     }
     void operator()(const ListArtifactsRequest& m) const {
-      RequireStoreV6(version);
       WriteModelName(out, m.model);
     }
     void operator()(const ListArtifactsResponse& m) const {
-      RequireStoreV6(version);
       WriteU8(out, m.enabled ? 1 : 0);
       Require(m.artifacts.size() <= kMaxArtifacts,
               "protocol: too many artifacts");
@@ -409,11 +299,8 @@ void WriteBody(std::ostream& out, const Message& message,
         WriteU64(out, entry.bytes);
       }
     }
-    void operator()(const MetricsRequest&) const {
-      RequireMetricsV7(version);
-    }
+    void operator()(const MetricsRequest&) const {}
     void operator()(const MetricsResponse& m) const {
-      RequireMetricsV7(version);
       // Leave headroom for the frame header + type byte so the whole
       // encoded payload stays under kMaxFrameBytes.
       Require(m.text.size() <= kMaxFrameBytes - 64,
@@ -421,17 +308,13 @@ void WriteBody(std::ostream& out, const Message& message,
       WriteString(out, m.text);
     }
   };
-  std::visit(Visitor{out, version}, message);
+  std::visit(Visitor{out}, message);
 }
 
-Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
+Message ReadBody(std::istream& in, MessageType type) {
   switch (type) {
     case MessageType::kPredictRequest: {
       PredictRequest m;
-      if (version == 1) {
-        m.records.push_back(ReadSignalRecord(in));
-        return m;
-      }
       m.model = ReadModelName(in);
       const std::uint32_t count = ReadU32(in);
       Require(count >= 1, "protocol: empty predict batch");
@@ -444,13 +327,9 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
     }
     case MessageType::kPredictResponse: {
       PredictResponse m;
-      std::uint32_t count = 1;
-      if (version >= 2) {
-        count = ReadU32(in);
-        Require(count >= 1, "protocol: empty predict response");
-        Require(count <= kMaxBatchRecords,
-                "protocol: oversized predict response");
-      }
+      const std::uint32_t count = ReadU32(in);
+      Require(count >= 1, "protocol: empty predict response");
+      Require(count <= kMaxBatchRecords, "protocol: oversized predict response");
       m.results.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
         PredictResult result;
@@ -466,16 +345,11 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
     }
     case MessageType::kPing: {
       Ping m;
-      if (version >= 2) m.model = ReadModelName(in);
+      m.model = ReadModelName(in);
       return m;
     }
     case MessageType::kPong: {
       Pong m;
-      if (version == 1) {
-        m.protocol_version = 1;
-        m.model_generation = ReadU64(in);
-        return m;
-      }
       m.protocol_version = ReadU32(in);
       m.ok = ReadU8(in) != 0;
       m.model_generation = ReadU64(in);
@@ -484,8 +358,8 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
     }
     case MessageType::kReloadRequest: {
       ReloadRequest m;
-      if (version >= 2) m.model = ReadModelName(in);
-      if (version >= 6) m.generation = ReadU64(in);
+      m.model = ReadModelName(in);
+      m.generation = ReadU64(in);
       return m;
     }
     case MessageType::kReloadResponse: {
@@ -496,10 +370,8 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
       return m;
     }
     case MessageType::kListModelsRequest:
-      RequireAdminV2(version);
       return ListModelsRequest{};
     case MessageType::kListModelsResponse: {
-      RequireAdminV2(version);
       ListModelsResponse m;
       m.default_model = ReadModelName(in);
       const std::uint32_t count = ReadU32(in);
@@ -515,13 +387,11 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
       return m;
     }
     case MessageType::kStatsRequest: {
-      RequireAdminV2(version);
       StatsRequest m;
       m.model = ReadModelName(in);
       return m;
     }
     case MessageType::kStatsResponse: {
-      RequireAdminV2(version);
       StatsResponse m;
       m.connections_accepted = ReadU64(in);
       const std::uint32_t count = ReadU32(in);
@@ -535,39 +405,30 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
         stats.batches = ReadU64(in);
         stats.max_batch = ReadU64(in);
         stats.queue_depth = ReadU64(in);
-        if (version >= 3) {
-          const std::uint8_t source = ReadU8(in);
-          Require(source <= static_cast<std::uint8_t>(PublishSource::kIngest),
-                  "protocol: bad publish source");
-          stats.last_publish_source = static_cast<PublishSource>(source);
-          stats.pending_ingest = ReadU64(in);
-        }
-        if (version >= 4) {
-          stats.shared_bytes = ReadU64(in);
-          stats.owned_bytes = ReadU64(in);
-        }
+        const std::uint8_t source = ReadU8(in);
+        Require(source <= static_cast<std::uint8_t>(PublishSource::kIngest),
+                "protocol: bad publish source");
+        stats.last_publish_source = static_cast<PublishSource>(source);
+        stats.pending_ingest = ReadU64(in);
+        stats.shared_bytes = ReadU64(in);
+        stats.owned_bytes = ReadU64(in);
         m.models.push_back(std::move(stats));
       }
-      if (version >= 5) {
-        m.transport.connections_live = ReadU64(in);
-        m.transport.connections_harvested_idle = ReadU64(in);
-        m.transport.frames_in = ReadU64(in);
-        m.transport.frames_out = ReadU64(in);
-        m.transport.bytes_in = ReadU64(in);
-        m.transport.bytes_out = ReadU64(in);
-        m.transport.requests_rejected_busy = ReadU64(in);
-        m.transport.event_workers = ReadU64(in);
-      }
-      if (version >= 6) {
-        m.store.enabled = ReadU8(in) != 0;
-        m.store.base_count = ReadU64(in);
-        m.store.delta_count = ReadU64(in);
-        m.store.journal_bytes_reclaimed = ReadU64(in);
-      }
+      m.transport.connections_live = ReadU64(in);
+      m.transport.connections_harvested_idle = ReadU64(in);
+      m.transport.frames_in = ReadU64(in);
+      m.transport.frames_out = ReadU64(in);
+      m.transport.bytes_in = ReadU64(in);
+      m.transport.bytes_out = ReadU64(in);
+      m.transport.requests_rejected_busy = ReadU64(in);
+      m.transport.event_workers = ReadU64(in);
+      m.store.enabled = ReadU8(in) != 0;
+      m.store.base_count = ReadU64(in);
+      m.store.delta_count = ReadU64(in);
+      m.store.journal_bytes_reclaimed = ReadU64(in);
       return m;
     }
     case MessageType::kSubmitRecordsRequest: {
-      RequireIngestV3(version);
       SubmitRecordsRequest m;
       m.model = ReadModelName(in);
       const std::uint32_t count = ReadU32(in);
@@ -580,7 +441,6 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
       return m;
     }
     case MessageType::kSubmitRecordsResponse: {
-      RequireIngestV3(version);
       SubmitRecordsResponse m;
       const std::uint32_t count = ReadU32(in);
       Require(count >= 1, "protocol: empty submit response");
@@ -599,13 +459,11 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
       return m;
     }
     case MessageType::kIngestStatsRequest: {
-      RequireIngestV3(version);
       IngestStatsRequest m;
       m.model = ReadModelName(in);
       return m;
     }
     case MessageType::kIngestStatsResponse: {
-      RequireIngestV3(version);
       IngestStatsResponse m;
       m.enabled = ReadU8(in) != 0;
       const std::uint32_t count = ReadU32(in);
@@ -622,28 +480,22 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
         stats.journal_bytes = ReadU64(in);
         stats.publishes = ReadU64(in);
         stats.last_publish_generation = ReadU64(in);
-        if (version >= 4) {
-          stats.fold_min_us = ReadU64(in);
-          stats.fold_mean_us = ReadU64(in);
-          stats.fold_max_us = ReadU64(in);
-          stats.last_fold_us = ReadU64(in);
-        }
-        if (version >= 6) {
-          stats.journal_dropped_bytes = ReadU64(in);
-          stats.replayed_batches = ReadU64(in);
-        }
+        stats.fold_min_us = ReadU64(in);
+        stats.fold_mean_us = ReadU64(in);
+        stats.fold_max_us = ReadU64(in);
+        stats.last_fold_us = ReadU64(in);
+        stats.journal_dropped_bytes = ReadU64(in);
+        stats.replayed_batches = ReadU64(in);
         m.models.push_back(std::move(stats));
       }
       return m;
     }
     case MessageType::kCheckpointRequest: {
-      RequireStoreV6(version);
       CheckpointRequest m;
       m.model = ReadModelName(in);
       return m;
     }
     case MessageType::kCheckpointResponse: {
-      RequireStoreV6(version);
       CheckpointResponse m;
       m.ok = ReadU8(in) != 0;
       m.generation = ReadU64(in);
@@ -653,13 +505,11 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
       return m;
     }
     case MessageType::kCompactRequest: {
-      RequireStoreV6(version);
       CompactRequest m;
       m.model = ReadModelName(in);
       return m;
     }
     case MessageType::kCompactResponse: {
-      RequireStoreV6(version);
       CompactResponse m;
       m.ok = ReadU8(in) != 0;
       m.generation = ReadU64(in);
@@ -668,13 +518,11 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
       return m;
     }
     case MessageType::kListArtifactsRequest: {
-      RequireStoreV6(version);
       ListArtifactsRequest m;
       m.model = ReadModelName(in);
       return m;
     }
     case MessageType::kListArtifactsResponse: {
-      RequireStoreV6(version);
       ListArtifactsResponse m;
       m.enabled = ReadU8(in) != 0;
       const std::uint32_t count = ReadU32(in);
@@ -692,10 +540,8 @@ Message ReadBody(std::istream& in, MessageType type, std::uint32_t version) {
       return m;
     }
     case MessageType::kMetricsRequest:
-      RequireMetricsV7(version);
       return MetricsRequest{};
     case MessageType::kMetricsResponse: {
-      RequireMetricsV7(version);
       MetricsResponse m;
       m.text = ReadMessageString(in);
       return m;
@@ -772,34 +618,28 @@ rf::SignalRecord ReadSignalRecord(std::istream& in) {
   return rf::SignalRecord(std::move(observations), floor);
 }
 
-std::string EncodePayload(const Message& message, std::uint32_t version) {
-  Require(version >= kMinProtocolVersion && version <= kProtocolVersion,
-          "protocol: cannot encode version " + std::to_string(version));
+std::string EncodePayload(const Message& message) {
   std::ostringstream out;
-  WriteHeader(out, kFrameMagic, version);
+  WriteHeader(out, kFrameMagic, kProtocolVersion);
   WriteU8(out, static_cast<std::uint8_t>(TypeOf(message)));
-  WriteBody(out, message, version);
+  WriteBody(out, message);
   return std::move(out).str();
 }
 
-Message DecodePayload(const std::string& payload,
-                      std::uint32_t* negotiated_version) {
+Message DecodePayload(const std::string& payload) {
   std::istringstream in(payload);
   const std::uint32_t version = ReadHeader(in, kFrameMagic);
-  Require(version >= kMinProtocolVersion && version <= kProtocolVersion,
+  Require(version == kProtocolVersion,
           "protocol: unsupported version " + std::to_string(version));
-  // Report the version as soon as the header validates, so a server can
-  // answer even a malformed body in the client's dialect.
-  if (negotiated_version != nullptr) *negotiated_version = version;
   const auto type = static_cast<MessageType>(ReadU8(in));
-  Message message = ReadBody(in, type, version);
+  Message message = ReadBody(in, type);
   Require(in.peek() == std::istream::traits_type::eof(),
           "protocol: trailing bytes after message");
   return message;
 }
 
-std::string EncodeFrame(const Message& message, std::uint32_t version) {
-  const std::string payload = EncodePayload(message, version);
+std::string EncodeFrame(const Message& message) {
+  const std::string payload = EncodePayload(message);
   const auto length = static_cast<std::uint32_t>(payload.size());
   std::string frame(sizeof(length) + payload.size(), '\0');
   std::memcpy(frame.data(), &length, sizeof(length));
@@ -807,8 +647,8 @@ std::string EncodeFrame(const Message& message, std::uint32_t version) {
   return frame;
 }
 
-void SendFrame(int fd, const Message& message, std::uint32_t version) {
-  const std::string frame = EncodeFrame(message, version);
+void SendFrame(int fd, const Message& message) {
+  const std::string frame = EncodeFrame(message);
   SendAll(fd, frame.data(), frame.size());
 }
 

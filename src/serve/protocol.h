@@ -8,58 +8,19 @@
 //     u8 message type
 //     type-specific body          (common/serialize.h primitives)
 //
-// Version 2 adds multi-building serving on one daemon: requests carry an
-// optional model name (empty = the daemon's default model), PredictRequest
-// carries a whole vector of records answered with per-record statuses in one
-// round trip, and admin messages enumerate models and their serving stats.
-//
-// Version 3 adds the online ingestion surface: SubmitRecords carries a batch
-// of crowdsourced records to be journaled and folded into the named model in
-// the background (per-record accept/reject statuses), IngestStats reports
-// the per-model ingest counters, and ModelStats grows ingest provenance
-// (publish source, pending ingest depth).
-//
-// Version 4 makes the copy-on-write snapshot model observable: ModelStats
-// grows the bytes shared with other snapshots vs owned exclusively (see
-// docs/architecture.md), and IngestModelStats grows per-fold latency
-// (min/mean/max plus the most recent fold, microseconds).
-//
-// Version 5 makes the event-driven transport observable: StatsResponse
-// grows a server-level TransportStats block (live connections, idle
-// harvests, frames and bytes in/out, busy rejections, event workers) fed by
-// the epoll event loop that replaced the thread-per-connection transport.
-// The request/response bytes themselves are unchanged — pipelining many
-// requests on one connection was always legal framing; the v5 server just
-// answers them without blocking a thread per socket.
-//
-// Version 6 adds the persistence surface of store::ModelStore: Checkpoint
-// writes the served snapshot as a store generation (a delta of the owned
-// copy-on-write chunks when possible), Compact folds the journal prefix
-// into a fresh generation and truncates the journal, ListArtifacts
-// enumerates a model's base/delta chain, ReloadRequest grows a generation
-// pin (0 = current behavior, N = rollback to store generation N),
-// StatsResponse grows a store block (base/delta counts, journal bytes
-// reclaimed by compaction), and IngestModelStats grows journal replay
-// observability (torn-tail bytes dropped at open, batches replayed).
-//
-// Version 7 adds the telemetry surface: MetricsRequest asks the daemon for
-// a full metrics dump and MetricsResponse carries the obs::Registry render
-// in Prometheus text exposition format — the same bytes `GET /metrics` on
-// the admin port serves, for clients that already speak the binary
-// protocol and do not want a second connection. No existing message
-// changes shape.
-//
-// Versions 1-6 remain decodable byte-for-byte — a v1 request is a
-// one-record batch routed to the default model, v2..v6 frames simply omit
-// the later versions' fields — and every reply is encoded in the version
-// its request arrived in, so deployed clients keep working against a v7
-// daemon.
+// Version 7 is the only dialect this build encodes, decodes and serves. It
+// carries multi-building serving (requests name a model; empty = the
+// daemon's default), batched predicts with per-record statuses, the admin
+// surface (ListModels, Stats), online ingestion (SubmitRecords,
+// IngestStats), the persistence surface (Checkpoint, Compact,
+// ListArtifacts, generation-pinned Reload) and the telemetry dump
+// (Metrics). A frame whose header names any other version is malformed.
 //
 // Malformed input — bad magic, unsupported version, unknown type, truncated
 // or oversized frames, out-of-range names or batch sizes, trailing bytes —
 // is rejected by throwing grafics::Error, never by crashing; servers drop
 // the connection, clients surface the error. docs/protocol.md specifies the
-// format field by field, including the migration notes between versions.
+// format field by field.
 #pragma once
 
 #include <cstdint>
@@ -75,11 +36,9 @@
 namespace grafics::serve {
 
 inline constexpr char kFrameMagic[4] = {'G', 'S', 'R', 'V'};
-/// Highest protocol version this build speaks (and the encoding default).
+/// The one protocol version this build speaks; frames naming any other
+/// version are rejected as malformed.
 inline constexpr std::uint32_t kProtocolVersion = 7;
-/// Oldest protocol version still decoded; v1 requests route to the default
-/// model and get v1-encoded replies.
-inline constexpr std::uint32_t kMinProtocolVersion = 1;
 /// Upper bound on a frame payload; declared lengths beyond this are rejected
 /// before any allocation happens.
 inline constexpr std::size_t kMaxFrameBytes = 1 << 20;
@@ -92,16 +51,15 @@ inline constexpr std::size_t kMaxModelNameBytes = 128;
 inline constexpr std::size_t kMaxBatchRecords = 1024;
 /// Upper bound on models per ListModels/Stats response.
 inline constexpr std::size_t kMaxModels = 4096;
-/// Upper bound on artifacts per ListArtifacts response (v6).
+/// Upper bound on artifacts per ListArtifacts response.
 inline constexpr std::size_t kMaxArtifacts = 65536;
-/// Upper bound on an artifact file name/path on the wire (v6).
+/// Upper bound on an artifact file name/path on the wire.
 inline constexpr std::size_t kMaxArtifactFileBytes = 4096;
 /// Default daemon port when none is given on the command line.
 inline constexpr std::uint16_t kDefaultPort = 4817;
 
 /// Floor query: a batch of crowdsourced scans to classify against one named
-/// model (empty = the daemon's default). v1 frames carry exactly one record
-/// and no name.
+/// model (empty = the daemon's default).
 struct PredictRequest {
   std::string model;
   std::vector<rf::SignalRecord> records;
@@ -133,8 +91,8 @@ struct PredictResponse {
 };
 
 /// Health check for one named model (empty = default); the reply carries the
-/// negotiated protocol version and the model generation so clients can tell
-/// a v1 daemon from a v2 one and observe hot reloads.
+/// daemon's protocol version and the model generation so clients can
+/// observe hot reloads.
 struct Ping {
   std::string model;
 
@@ -142,8 +100,7 @@ struct Ping {
 };
 
 struct Pong {
-  /// Protocol version the server negotiated for this connection's replies.
-  /// Decoded v1 pongs report 1 (the field is implicit in the frame header).
+  /// Protocol version the daemon speaks (always kProtocolVersion).
   std::uint32_t protocol_version = kProtocolVersion;
   /// False when the pinged model name is unknown; error says so.
   bool ok = true;
@@ -158,11 +115,9 @@ struct Pong {
 /// finish on the old snapshot; other models are untouched.
 struct ReloadRequest {
   std::string model;
-  /// v6 only: 0 reloads from the recorded artifact (or the store's latest
+  /// 0 reloads from the recorded artifact (or the store's latest
   /// generation when the daemon runs with --store-dir); a non-zero value
   /// pins the reload to that store generation — the rollback primitive.
-  /// Encoding a non-zero pin at v1..v5 throws (those dialects cannot ask
-  /// for it).
   std::uint64_t generation = 0;
 
   bool operator==(const ReloadRequest&) const = default;
@@ -176,7 +131,7 @@ struct ReloadResponse {
   bool operator==(const ReloadResponse&) const = default;
 };
 
-/// v2-only admin: enumerate the registry.
+/// Admin: enumerate the registry.
 struct ModelInfo {
   std::string name;
   std::uint64_t generation = 0;
@@ -197,16 +152,13 @@ struct ListModelsResponse {
   bool operator==(const ListModelsResponse&) const = default;
 };
 
-/// How a model's current snapshot got published (ModelStats, since v3).
+/// How a model's current snapshot got published (ModelStats).
 enum class PublishSource : std::uint8_t {
   kDisk = 0,    // Load/LoadFromDisk/ReloadFromDisk (artifact or in-process)
   kIngest = 1,  // background fold-in publish by the ingest pipeline
 };
 
-/// v2-only admin: per-model serving counters (empty model = all models).
-/// Fields after queue_depth exist on the wire only from v3 on, and the
-/// snapshot-accounting fields only from v4 on; older encodings omit them
-/// (and decoded older frames report their defaults).
+/// Admin: per-model serving counters (empty model = all models).
 struct ModelStats {
   std::string name;
   std::uint64_t generation = 0;
@@ -219,7 +171,7 @@ struct ModelStats {
   PublishSource last_publish_source = PublishSource::kDisk;
   /// Submitted records accepted but not yet folded into the model.
   std::uint64_t pending_ingest = 0;
-  /// v4 only: copy-on-write accounting of the serving snapshot's heap —
+  /// Copy-on-write accounting of the serving snapshot's heap —
   /// bytes whose chunks are shared with other snapshots (forks being
   /// folded, in-flight readers of an old generation) vs bytes owned
   /// exclusively. A publish that doubled resident memory would show up
@@ -237,7 +189,7 @@ struct StatsRequest {
   bool operator==(const StatsRequest&) const = default;
 };
 
-/// v5-only: server-level counters of the event-driven transport, one block
+/// Server-level counters of the event-driven transport, one block
 /// per StatsResponse (they are per-daemon, not per-model). All counters are
 /// cumulative since the daemon started except connections_live and
 /// event_workers, which are instantaneous.
@@ -263,7 +215,7 @@ struct TransportStats {
   bool operator==(const TransportStats&) const = default;
 };
 
-/// v6-only: daemon-level persistence counters, one block per StatsResponse.
+/// Daemon-level persistence counters, one block per StatsResponse.
 struct StoreStats {
   /// False when the daemon runs without --store-dir; the counts are then 0.
   bool enabled = false;
@@ -279,15 +231,13 @@ struct StoreStats {
 struct StatsResponse {
   std::uint64_t connections_accepted = 0;
   std::vector<ModelStats> models;
-  /// v5 only; decoded older frames report all-zero defaults.
   TransportStats transport;
-  /// v6 only; decoded older frames report a disabled store.
   StoreStats store;
 
   bool operator==(const StatsResponse&) const = default;
 };
 
-/// v3-only: submit a batch of crowdsourced records for background fold-in to
+/// Submit a batch of crowdsourced records for background fold-in to
 /// the named model (empty = default). Records may carry floor labels; the
 /// labels ride along into the journal but Update ignores them (relabeling
 /// requires retraining). Batch size is bounded exactly like PredictRequest.
@@ -319,7 +269,7 @@ struct SubmitRecordsResponse {
   bool operator==(const SubmitRecordsResponse&) const = default;
 };
 
-/// v3-only admin: per-model ingest pipeline counters.
+/// Admin: per-model ingest pipeline counters.
 struct IngestModelStats {
   std::string name;
   /// Records accepted (journaled + queued) since the daemon started.
@@ -338,18 +288,18 @@ struct IngestModelStats {
   std::uint64_t publishes = 0;
   /// Registry generation of the pipeline's most recent publish (0 = none).
   std::uint64_t last_publish_generation = 0;
-  /// v4 only: per-fold latency (fork + Update + publish), microseconds,
+  /// Per-fold latency (fork + Update + publish), microseconds,
   /// over every fold since the daemon started; all zero before the first
   /// fold.
   std::uint64_t fold_min_us = 0;
   std::uint64_t fold_mean_us = 0;
   std::uint64_t fold_max_us = 0;
-  /// v4 only: latency of the most recent fold.
+  /// Latency of the most recent fold.
   std::uint64_t last_fold_us = 0;
-  /// v6 only: torn-tail bytes the journal open scan discarded at startup
+  /// Torn-tail bytes the journal open scan discarded at startup
   /// (0 = the journal was clean).
   std::uint64_t journal_dropped_bytes = 0;
-  /// v6 only: committed fold batches re-applied from the journal at startup
+  /// Committed fold batches re-applied from the journal at startup
   /// (after a compaction, the replay is the pending suffix only — this is
   /// what "restart without full-journal replay" looks like in numbers).
   std::uint64_t replayed_batches = 0;
@@ -371,7 +321,7 @@ struct IngestStatsResponse {
   bool operator==(const IngestStatsResponse&) const = default;
 };
 
-/// v6-only admin: persist the named model's served snapshot (empty =
+/// Admin: persist the named model's served snapshot (empty =
 /// default) as the next store generation — a delta checkpoint of the owned
 /// copy-on-write chunks when the snapshot descends from the previous
 /// generation, a full base otherwise.
@@ -393,7 +343,7 @@ struct CheckpointResponse {
   bool operator==(const CheckpointResponse&) const = default;
 };
 
-/// v6-only admin: fold the named model's journal prefix into a fresh store
+/// Admin: fold the named model's journal prefix into a fresh store
 /// generation, publish it, and truncate the journal to the still-pending
 /// suffix. Requires a daemon running with both --store-dir and journaling.
 struct CompactRequest {
@@ -423,7 +373,7 @@ struct ArtifactEntry {
   bool operator==(const ArtifactEntry&) const = default;
 };
 
-/// v6-only admin: enumerate the named model's artifact chain (empty =
+/// Admin: enumerate the named model's artifact chain (empty =
 /// default), oldest generation first.
 struct ListArtifactsRequest {
   std::string model;
@@ -439,7 +389,7 @@ struct ListArtifactsResponse {
   bool operator==(const ListArtifactsResponse&) const = default;
 };
 
-/// v7-only admin: dump the daemon's whole telemetry registry. The response
+/// Admin: dump the daemon's whole telemetry registry. The response
 /// body is the Prometheus text exposition render — identical to what the
 /// HTTP admin port's GET /metrics serves — so binary-protocol clients
 /// (grafics remote-metrics) need no second connection or HTTP stack.
@@ -474,27 +424,20 @@ rf::SignalRecord ReadSignalRecord(std::istream& in);
 /// under kMaxFrameBytes.
 std::size_t SignalRecordWireBytes(const rf::SignalRecord& record);
 
-/// Frame payload (header + type + body), without the u32 length prefix,
-/// encoded at `version`. Encoding at v1 throws grafics::Error for content
-/// v1 cannot express: a non-empty model name, a batch of != 1 record, or a
-/// v2-only message type.
-std::string EncodePayload(const Message& message,
-                          std::uint32_t version = kProtocolVersion);
-/// Inverse of EncodePayload for any supported version. Throws grafics::Error
-/// on malformed input, including trailing bytes after a well-formed message.
-/// When `negotiated_version` is non-null it receives the frame's version as
-/// soon as the header validates (so error handlers can reply in kind); v1
-/// bodies decode to the v2 structs (one-record batch, empty model name).
-Message DecodePayload(const std::string& payload,
-                      std::uint32_t* negotiated_version = nullptr);
+/// Frame payload (header + type + body), without the u32 length prefix.
+/// Throws grafics::Error for content the format cannot carry (oversized
+/// batches or names, empty batches).
+std::string EncodePayload(const Message& message);
+/// Inverse of EncodePayload. Throws grafics::Error on malformed input,
+/// including any header version other than kProtocolVersion and trailing
+/// bytes after a well-formed message.
+Message DecodePayload(const std::string& payload);
 /// Full frame: u32 length prefix followed by the payload.
-std::string EncodeFrame(const Message& message,
-                        std::uint32_t version = kProtocolVersion);
+std::string EncodeFrame(const Message& message);
 
 /// Writes one frame to a connected socket. Throws grafics::Error when the
 /// peer is gone (writes never raise SIGPIPE).
-void SendFrame(int fd, const Message& message,
-               std::uint32_t version = kProtocolVersion);
+void SendFrame(int fd, const Message& message);
 /// Reads one frame payload from a connected socket. Returns nullopt when the
 /// peer closed cleanly before the first byte of a frame; throws
 /// grafics::Error on truncated frames or declared lengths above max_bytes.

@@ -33,8 +33,7 @@ void SetNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// Structured per-record failure: every result carries the same error, so
-/// a v1 peer (exactly one record) and a v2+ batch both decode it.
+/// Structured per-record failure: every result carries the same error.
 PredictResponse ErrorResponse(std::size_t records, const std::string& what) {
   PredictResponse response;
   response.results.resize(std::max<std::size_t>(records, 1));
@@ -168,9 +167,7 @@ void Server::Start() {
         HandleFrame(std::move(payload), inflight, std::move(done));
       },
       [](const std::string& what) {
-        // Hostile declared length: no payload exists, so no version was
-        // negotiated — answer in the oldest dialect every peer decodes.
-        return EncodeFrame(ErrorResponse(1, what), kMinProtocolVersion);
+        return EncodeFrame(ErrorResponse(1, what));
       });
   loop_->Start();
   ops_pool_ = std::make_unique<ThreadPool>(config_.ops_threads);
@@ -219,12 +216,9 @@ void Server::AcceptLoop() {
 
 void Server::HandleFrame(std::string payload, std::size_t inflight,
                          EventLoop::Completion done) {
-  // The dialect of this frame's header, used to encode both the reply and
-  // the best-effort error frame below: a peer speaking v1 gets v1 back.
-  std::uint32_t version = kMinProtocolVersion;
   try {
     const auto decode_start = std::chrono::steady_clock::now();
-    Message request = DecodePayload(payload, &version);
+    Message request = DecodePayload(payload);
     if (frame_decode_us_ != nullptr) {
       frame_decode_us_->Observe(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -232,74 +226,66 @@ void Server::HandleFrame(std::string payload, std::size_t inflight,
               .count()));
     }
     if (auto* predict = std::get_if<PredictRequest>(&request)) {
-      HandlePredictAsync(std::move(*predict), version, inflight,
-                         std::move(done));
+      HandlePredictAsync(std::move(*predict), inflight, std::move(done));
     } else if (const auto* ping = std::get_if<Ping>(&request)) {
-      done.Send(EncodeFrame(HandlePing(*ping, version), version));
+      done.Send(EncodeFrame(HandlePing(*ping)));
     } else if (const auto* reload = std::get_if<ReloadRequest>(&request)) {
       // Reload deserializes a model artifact from disk — seconds, not
       // microseconds. Off the event worker; the slot keeps its place in
       // the connection's reply order while the load runs.
-      ops_pool_->Submit([this, request = *reload, version, done] {
-        done.Send(EncodeFrame(HandleReload(request), version));
+      ops_pool_->Submit([this, request = *reload, done] {
+        done.Send(EncodeFrame(HandleReload(request)));
       });
     } else if (std::holds_alternative<ListModelsRequest>(request)) {
-      done.Send(EncodeFrame(HandleListModels(), version));
+      done.Send(EncodeFrame(HandleListModels()));
     } else if (const auto* stats = std::get_if<StatsRequest>(&request)) {
-      done.Send(EncodeFrame(HandleStats(*stats), version));
+      done.Send(EncodeFrame(HandleStats(*stats)));
     } else if (auto* submit = std::get_if<SubmitRecordsRequest>(&request)) {
       // Journal appends fdatasync; same treatment as reload.
       ops_pool_->Submit(
-          [this, request = std::move(*submit), version, done]() mutable {
-            done.Send(EncodeFrame(HandleSubmit(std::move(request)), version));
+          [this, request = std::move(*submit), done]() mutable {
+            done.Send(EncodeFrame(HandleSubmit(std::move(request))));
           });
     } else if (const auto* ingest_stats =
                    std::get_if<IngestStatsRequest>(&request)) {
-      done.Send(EncodeFrame(HandleIngestStats(*ingest_stats), version));
+      done.Send(EncodeFrame(HandleIngestStats(*ingest_stats)));
     } else if (const auto* checkpoint =
                    std::get_if<CheckpointRequest>(&request)) {
       // Checkpoints serialize a model snapshot and fsync it — same blocking
       // profile as a reload, so same treatment.
-      ops_pool_->Submit([this, request = *checkpoint, version, done] {
-        done.Send(EncodeFrame(HandleCheckpoint(request), version));
+      ops_pool_->Submit([this, request = *checkpoint, done] {
+        done.Send(EncodeFrame(HandleCheckpoint(request)));
       });
     } else if (const auto* compact = std::get_if<CompactRequest>(&request)) {
       // Compaction blocks until the ingest worker has staged + committed.
-      ops_pool_->Submit([this, request = *compact, version, done] {
-        done.Send(EncodeFrame(HandleCompact(request), version));
+      ops_pool_->Submit([this, request = *compact, done] {
+        done.Send(EncodeFrame(HandleCompact(request)));
       });
     } else if (const auto* artifacts =
                    std::get_if<ListArtifactsRequest>(&request)) {
-      done.Send(EncodeFrame(HandleListArtifacts(*artifacts), version));
+      done.Send(EncodeFrame(HandleListArtifacts(*artifacts)));
     } else if (std::holds_alternative<MetricsRequest>(request)) {
       // Inline like Stats: the render walks per-model counters and chunk
       // tables, the same cost profile as HandleStats — no fsyncs, no disk.
       MetricsResponse metrics;
       if (obs_ != nullptr) metrics.text = obs_->RenderPrometheus();
-      done.Send(EncodeFrame(metrics, version));
+      done.Send(EncodeFrame(metrics));
     } else {
       throw Error("Server: unexpected message type from client");
     }
   } catch (const std::exception& e) {
-    // Malformed frame: best-effort error reply, then hang up. The daemon
-    // itself stays up — protocol errors are per-connection.
-    std::string frame;
-    try {
-      frame = EncodeFrame(ErrorResponse(1, e.what()), version);
-    } catch (...) {
-      // Even the error reply failed to encode (e.g. a v1 peer and a
-      // message with no v1 shape): send nothing, just close.
-    }
-    done.Send(std::move(frame), /*close_after=*/true);
+    // Malformed frame (including any dialect other than v7): best-effort
+    // error reply, then hang up. The daemon itself stays up — protocol
+    // errors are per-connection.
+    done.Send(EncodeFrame(ErrorResponse(1, e.what())), /*close_after=*/true);
   }
 }
 
-void Server::HandlePredictAsync(PredictRequest request, std::uint32_t version,
-                                std::size_t inflight,
+void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
                                 EventLoop::Completion done) {
   const std::size_t count = request.records.size();
   if (count == 0) {
-    done.Send(EncodeFrame(PredictResponse{}, version));
+    done.Send(EncodeFrame(PredictResponse{}));
     return;
   }
   if (config_.max_inflight_per_connection > 0 &&
@@ -310,8 +296,7 @@ void Server::HandlePredictAsync(PredictRequest request, std::uint32_t version,
                       "busy: connection has " + std::to_string(inflight) +
                           " requests in flight (max " +
                           std::to_string(config_.max_inflight_per_connection) +
-                          ")"),
-        version));
+                          ")")));
     return;
   }
   // Shared across the per-record completions; the last one to finish
@@ -321,7 +306,6 @@ void Server::HandlePredictAsync(PredictRequest request, std::uint32_t version,
   struct PendingPredict {
     PredictResponse response;
     std::atomic<std::size_t> remaining{0};
-    std::uint32_t version = kProtocolVersion;
     EventLoop::Completion done;
     // Slow-request tracing, null/zero when disabled. Completions may
     // outlive the Server (the registry's flusher threads are stopped by
@@ -336,7 +320,6 @@ void Server::HandlePredictAsync(PredictRequest request, std::uint32_t version,
   auto pending = std::make_shared<PendingPredict>();
   pending->response.results.resize(count);
   pending->remaining.store(count, std::memory_order_relaxed);
-  pending->version = version;
   pending->done = done;
   if (config_.slow_request_us > 0) {
     pending->trace = std::make_shared<obs::Trace>();
@@ -374,8 +357,7 @@ void Server::HandlePredictAsync(PredictRequest request, std::uint32_t version,
               pending->trace->Note("queue_wait", queue_wait_us);
               pending->trace->Note("predict", predict_us);
             }
-            pending->done.Send(
-                EncodeFrame(pending->response, pending->version));
+            pending->done.Send(EncodeFrame(pending->response));
             if (pending->trace != nullptr) {
               pending->trace->Stamp("reply_flushed");
               const std::uint64_t total_us = pending->trace->ElapsedUs();
@@ -403,19 +385,17 @@ void Server::HandlePredictAsync(PredictRequest request, std::uint32_t version,
           ErrorResponse(count,
                         "busy: model queue depth would exceed " +
                             std::to_string(config_.max_queue_depth) +
-                            " pending records"),
-          version));
+                            " pending records")));
     }
   } catch (const std::exception& e) {
     // Unknown model name (or a stopped registry): a structured per-record
     // error status, never a dropped connection.
-    done.Send(EncodeFrame(ErrorResponse(count, e.what()), version));
+    done.Send(EncodeFrame(ErrorResponse(count, e.what())));
   }
 }
 
-Pong Server::HandlePing(const Ping& ping, std::uint32_t version) {
+Pong Server::HandlePing(const Ping& ping) const {
   Pong pong;
-  pong.protocol_version = version;
   try {
     pong.model_generation = registry_->generation(ping.model);
   } catch (const std::exception& e) {

@@ -15,11 +15,8 @@
 // records on one model, are refused with a structured per-record
 // "busy: ..." error — never a dropped connection.
 //
-// Version negotiation is per frame: the server decodes protocol v1 through
-// v6 requests and answers each in the dialect it arrived in, so v1 clients
-// keep talking to the registry's default model while newer clients name
-// models, batch records, query admin state, submit records for ingestion,
-// and drive the persistence store on the same port.
+// The server speaks protocol v7 only. A frame in any other dialect is
+// malformed: it gets one v7 error reply and the connection is closed.
 //
 // The ingest surface (SubmitRecords/IngestStats) is optional: attach an
 // ingest::IngestPipeline before Start to enable it; without one, submits
@@ -90,13 +87,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Enables the v3 ingest surface: SubmitRecords routes to `ingest` and
+  /// Enables the ingest surface: SubmitRecords routes to `ingest` and
   /// IngestStats reports its counters. Call before Start; the pipeline is
   /// shared with the caller, who owns its shutdown ordering (stop the
   /// server, then the pipeline, then the registry).
   void AttachIngest(std::shared_ptr<ingest::IngestPipeline> ingest);
 
-  /// Enables the v6 persistence surface: Checkpoint/ListArtifacts route to
+  /// Enables the persistence surface: Checkpoint/ListArtifacts route to
   /// `store`, Compact additionally needs an attached ingest pipeline, Stats
   /// reports store counters, and Reload honors generation pins. Call before
   /// Start; the store is shared with the registry and the caller.
@@ -127,7 +124,7 @@ class Server {
     return connections_accepted_.load();
   }
 
-  /// The transport counters the v5 Stats reply carries; readable while the
+  /// The transport counters the Stats reply carries; readable while the
   /// server runs and after Stop (final values).
   TransportStats transport_stats() const;
 
@@ -138,10 +135,10 @@ class Server {
   /// Completion. Runs on an event worker; must not block.
   void HandleFrame(std::string payload, std::size_t inflight,
                    EventLoop::Completion done);
-  void HandlePredictAsync(PredictRequest request, std::uint32_t version,
-                          std::size_t inflight, EventLoop::Completion done);
+  void HandlePredictAsync(PredictRequest request, std::size_t inflight,
+                          EventLoop::Completion done);
 
-  Pong HandlePing(const Ping& ping, std::uint32_t version);
+  Pong HandlePing(const Ping& ping) const;
   ReloadResponse HandleReload(const ReloadRequest& request);
   ListModelsResponse HandleListModels() const;
   StatsResponse HandleStats(const StatsRequest& request) const;

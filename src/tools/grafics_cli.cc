@@ -27,15 +27,15 @@
 // that, per named model). remote-submit feeds crowdsourced records into the
 // daemon's online ingestion pipeline (journaled, folded in the background;
 // watch progress with remote-ingest-stats until `pending` reaches 0).
-// remote-ping reports the negotiated protocol version; remote-models and
+// remote-ping reports the daemon's protocol version; remote-models and
 // remote-stats are the admin surface of the daemon's multi-building model
-// registry. remote-checkpoint, remote-compact and remote-artifacts drive a
-// v6 daemon's persistence store (--store-dir): write a base/delta
+// registry. remote-checkpoint, remote-compact and remote-artifacts drive the
+// daemon's persistence store (--store-dir): write a base/delta
 // checkpoint, fold the journal into one, and inspect the artifact chain;
 // remote-reload --generation N rolls the served model back to a pinned
 // store generation. remote-stats --watch N re-queries and re-prints every
 // N seconds (snapshots separated by a blank line) until interrupted;
-// remote-metrics dumps a v7 daemon's full Prometheus text exposition —
+// remote-metrics dumps the daemon's full Prometheus text exposition —
 // the same bytes GET /metrics on its --admin-port serves — for hosts the
 // scraper cannot reach.
 //
@@ -199,9 +199,8 @@ int CmdRemoteIngestStats(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
   const auto [host, port] = ParseHostPort(args[0]);
   const std::string model = FlagValue(args, "--model", "");
-  // Same downgrade ladder as remote-stats, shared through the client.
-  const auto [stats, spoken] =
-      serve::Client::NegotiatedIngestStats(host, port, model);
+  serve::Client client(host, port);
+  const serve::IngestStatsResponse stats = client.IngestStats(model);
   if (!stats.enabled) {
     std::fprintf(stderr, "ingest disabled on this daemon\n");
     return 2;
@@ -215,7 +214,8 @@ int CmdRemoteIngestStats(const std::vector<std::string>& args) {
         "%s,accepted=%llu,rejected=%llu,pending=%llu,folded=%llu,"
         "replayed=%llu,journal_bytes=%llu,publishes=%llu,"
         "last_publish_generation=%llu,fold_min_us=%llu,fold_mean_us=%llu,"
-        "fold_max_us=%llu,last_fold_us=%llu",
+        "fold_max_us=%llu,last_fold_us=%llu,replayed_batches=%llu,"
+        "journal_dropped_bytes=%llu\n",
         m.name.c_str(), static_cast<unsigned long long>(m.accepted),
         static_cast<unsigned long long>(m.rejected),
         static_cast<unsigned long long>(m.pending),
@@ -227,13 +227,9 @@ int CmdRemoteIngestStats(const std::vector<std::string>& args) {
         static_cast<unsigned long long>(m.fold_min_us),
         static_cast<unsigned long long>(m.fold_mean_us),
         static_cast<unsigned long long>(m.fold_max_us),
-        static_cast<unsigned long long>(m.last_fold_us));
-    if (spoken >= 6) {
-      std::printf(",replayed_batches=%llu,journal_dropped_bytes=%llu",
-                  static_cast<unsigned long long>(m.replayed_batches),
-                  static_cast<unsigned long long>(m.journal_dropped_bytes));
-    }
-    std::printf("\n");
+        static_cast<unsigned long long>(m.last_fold_us),
+        static_cast<unsigned long long>(m.replayed_batches),
+        static_cast<unsigned long long>(m.journal_dropped_bytes));
   }
   return 0;
 }
@@ -345,72 +341,56 @@ int CmdRemoteModels(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// One remote-stats snapshot: fetch (with version-ladder downgrade) and
-/// print. Factored out so --watch re-runs it on a fresh connection each
-/// interval — a daemon restart mid-watch reconnects instead of erroring on
-/// a dead socket.
+/// One remote-stats snapshot: fetch and print. Factored out so --watch
+/// re-runs it on a fresh connection each interval — a daemon restart
+/// mid-watch reconnects instead of erroring on a dead socket.
 int FetchAndPrintRemoteStats(const std::string& host, std::uint16_t port,
                              const std::string& model) {
-  // Client::NegotiatedStats walks the version ladder against older daemons;
-  // `spoken` tells us which fields the reply actually carried, so the
-  // output degrades gracefully instead of printing zero defaults.
-  const auto [stats, spoken] = serve::Client::NegotiatedStats(host, port,
-                                                              model);
+  serve::Client client(host, port);
+  const serve::StatsResponse stats = client.Stats(model);
   if (!model.empty() && stats.models.empty()) {
     std::fprintf(stderr, "no such model '%s'\n", model.c_str());
     return 2;
   }
   std::printf("connections_accepted=%llu\n",
               static_cast<unsigned long long>(stats.connections_accepted));
-  if (spoken >= 5) {
-    const serve::TransportStats& t = stats.transport;
-    std::printf(
-        "transport,connections_live=%llu,harvested_idle=%llu,frames_in=%llu,"
-        "frames_out=%llu,bytes_in=%llu,bytes_out=%llu,rejected_busy=%llu,"
-        "event_workers=%llu\n",
-        static_cast<unsigned long long>(t.connections_live),
-        static_cast<unsigned long long>(t.connections_harvested_idle),
-        static_cast<unsigned long long>(t.frames_in),
-        static_cast<unsigned long long>(t.frames_out),
-        static_cast<unsigned long long>(t.bytes_in),
-        static_cast<unsigned long long>(t.bytes_out),
-        static_cast<unsigned long long>(t.requests_rejected_busy),
-        static_cast<unsigned long long>(t.event_workers));
-  }
-  if (spoken >= 6) {
-    const serve::StoreStats& s = stats.store;
-    if (s.enabled) {
-      std::printf(
-          "store,bases=%llu,deltas=%llu,journal_bytes_reclaimed=%llu\n",
-          static_cast<unsigned long long>(s.base_count),
-          static_cast<unsigned long long>(s.delta_count),
-          static_cast<unsigned long long>(s.journal_bytes_reclaimed));
-    } else {
-      std::printf("store,disabled\n");
-    }
+  const serve::TransportStats& t = stats.transport;
+  std::printf(
+      "transport,connections_live=%llu,harvested_idle=%llu,frames_in=%llu,"
+      "frames_out=%llu,bytes_in=%llu,bytes_out=%llu,rejected_busy=%llu,"
+      "event_workers=%llu\n",
+      static_cast<unsigned long long>(t.connections_live),
+      static_cast<unsigned long long>(t.connections_harvested_idle),
+      static_cast<unsigned long long>(t.frames_in),
+      static_cast<unsigned long long>(t.frames_out),
+      static_cast<unsigned long long>(t.bytes_in),
+      static_cast<unsigned long long>(t.bytes_out),
+      static_cast<unsigned long long>(t.requests_rejected_busy),
+      static_cast<unsigned long long>(t.event_workers));
+  const serve::StoreStats& s = stats.store;
+  if (s.enabled) {
+    std::printf("store,bases=%llu,deltas=%llu,journal_bytes_reclaimed=%llu\n",
+                static_cast<unsigned long long>(s.base_count),
+                static_cast<unsigned long long>(s.delta_count),
+                static_cast<unsigned long long>(s.journal_bytes_reclaimed));
+  } else {
+    std::printf("store,disabled\n");
   }
   for (const serve::ModelStats& m : stats.models) {
     std::printf(
         "%s,generation=%llu,requests=%llu,batches=%llu,max_batch=%llu,"
-        "queue_depth=%llu",
+        "queue_depth=%llu,last_publish_source=%s,pending_ingest=%llu,"
+        "shared_bytes=%llu,owned_bytes=%llu\n",
         m.name.c_str(), static_cast<unsigned long long>(m.generation),
         static_cast<unsigned long long>(m.requests),
         static_cast<unsigned long long>(m.batches),
         static_cast<unsigned long long>(m.max_batch),
-        static_cast<unsigned long long>(m.queue_depth));
-    if (spoken >= 3) {
-      std::printf(
-          ",last_publish_source=%s,pending_ingest=%llu",
-          m.last_publish_source == serve::PublishSource::kIngest ? "ingest"
-                                                                 : "disk",
-          static_cast<unsigned long long>(m.pending_ingest));
-    }
-    if (spoken >= 4) {
-      std::printf(",shared_bytes=%llu,owned_bytes=%llu",
-                  static_cast<unsigned long long>(m.shared_bytes),
-                  static_cast<unsigned long long>(m.owned_bytes));
-    }
-    std::printf("\n");
+        static_cast<unsigned long long>(m.queue_depth),
+        m.last_publish_source == serve::PublishSource::kIngest ? "ingest"
+                                                               : "disk",
+        static_cast<unsigned long long>(m.pending_ingest),
+        static_cast<unsigned long long>(m.shared_bytes),
+        static_cast<unsigned long long>(m.owned_bytes));
   }
   return 0;
 }

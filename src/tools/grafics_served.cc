@@ -4,8 +4,8 @@
 // answers floor queries over the TCP protocol of serve/protocol.h,
 // coalescing concurrent requests into per-model dynamic micro-batches
 // served through the snapshot-isolated PredictBatch path. One daemon, many
-// buildings: clients route by model name, and unnamed (or protocol-v1)
-// requests go to the default model.
+// buildings: clients route by model name, and unnamed requests go to the
+// default model.
 //
 //   grafics_served [<model.bin>] [--model NAME=PATH]... [--default NAME]
 //                  [--host A] [--port P] [--max-batch N] [--max-delay-ms M]
@@ -53,7 +53,7 @@
 //                            error (default 4096)
 //   --store-dir D     enable the unified persistence store: model loads are
 //                     imported as store generations, checkpoints and journal
-//                     compaction become available (protocol v6), and on
+//                     compaction become available over the protocol, and on
 //                     restart a model whose store chain has advanced past
 //                     its --model artifact is loaded from the store — a
 //                     restart never silently discards folded records

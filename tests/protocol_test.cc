@@ -1,8 +1,8 @@
-// Tests for the serving wire protocol: round-trips for every v2 message
-// type, v1 <-> v2 compatibility (v1 frames decode to one-record default-
-// model requests; replies encode back to v1), and rejection (grafics::Error,
-// never a crash) of truncated, garbage, oversized, bad-name, zero-batch,
-// and trailing-byte frames — including over a real socket pair.
+// Tests for the serving wire protocol (v7, the only dialect): round-trips
+// and frozen bytes for every message type, and rejection (grafics::Error,
+// never a crash) of other versions and of truncated, garbage, oversized,
+// bad-name, zero-batch, and trailing-byte frames — including over a real
+// socket pair.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -172,9 +172,7 @@ std::vector<Message> AllMessageTypes() {
 
 TEST(ProtocolTest, EveryMessageTypeRoundTrips) {
   for (const Message& message : AllMessageTypes()) {
-    std::uint32_t version = 0;
-    EXPECT_EQ(DecodePayload(EncodePayload(message), &version), message);
-    EXPECT_EQ(version, kProtocolVersion);
+    EXPECT_EQ(DecodePayload(EncodePayload(message)), message);
   }
 }
 
@@ -246,239 +244,6 @@ TEST(ProtocolTest, FrameIsLengthPrefixedPayload) {
   EXPECT_EQ(frame.substr(4), payload);
 }
 
-// --- v1 <-> v2 compatibility ----------------------------------------------
-
-/// Messages a v1 peer can express: unnamed, single-record, no admin types.
-std::vector<Message> V1Messages() {
-  PredictResponse ok;
-  ok.results.push_back({PredictStatus::kOk, -3, ""});
-  Pong pong;
-  pong.protocol_version = 1;  // what decoding a v1 pong must report
-  pong.model_generation = 42;
-  ReloadResponse reloaded;
-  reloaded.ok = true;
-  reloaded.model_generation = 3;
-  reloaded.message = "model reloaded";
-  std::vector<Message> messages;
-  messages.push_back(PredictRequest{"", {MakeRecord(7)}});
-  messages.push_back(ok);
-  messages.push_back(Ping{});
-  messages.push_back(pong);
-  messages.push_back(ReloadRequest{});
-  messages.push_back(reloaded);
-  return messages;
-}
-
-TEST(ProtocolV1CompatTest, V1FramesRoundTripThroughTheV2Decoder) {
-  for (const Message& message : V1Messages()) {
-    std::uint32_t version = 0;
-    EXPECT_EQ(DecodePayload(EncodePayload(message, 1), &version), message);
-    EXPECT_EQ(version, 1u);
-  }
-}
-
-// layout-frozen: v1 — check_invariants.py requires this marker next to
-// the byte-exact assertion for every dialect older than the current
-// kProtocolVersion.
-TEST(ProtocolV1CompatTest, V1EncodingMatchesTheOriginalWireBytes) {
-  // A v1 PredictRequest body is the bare record — reconstruct the original
-  // encoder by hand and compare byte-for-byte, so "keeps decoding v1" means
-  // the actual PR 2 wire format and not merely our own idea of it.
-  const rf::SignalRecord record = MakeRecord(7);
-  std::ostringstream expected;
-  WriteHeader(expected, kFrameMagic, 1);
-  WriteU8(expected, 1);  // kPredictRequest
-  WriteSignalRecord(expected, record);
-  EXPECT_EQ(EncodePayload(PredictRequest{"", {record}}, 1),
-            std::move(expected).str());
-
-  std::ostringstream pong;
-  WriteHeader(pong, kFrameMagic, 1);
-  WriteU8(pong, 4);  // kPong
-  WriteU64(pong, 42);
-  EXPECT_EQ(EncodePayload(Pong{1, true, 42, ""}, 1), std::move(pong).str());
-}
-
-TEST(ProtocolV1CompatTest, DecodedV1PongReportsProtocolVersionOne) {
-  const Message decoded = DecodePayload(EncodePayload(Pong{1, true, 7, ""}, 1));
-  const auto* pong = std::get_if<Pong>(&decoded);
-  ASSERT_NE(pong, nullptr);
-  EXPECT_EQ(pong->protocol_version, 1u);
-  EXPECT_EQ(pong->model_generation, 7u);
-}
-
-TEST(ProtocolV1CompatTest, V1CannotExpressNamesBatchesOrAdmin) {
-  EXPECT_THROW(EncodePayload(PredictRequest{"mall", {MakeRecord()}}, 1),
-               Error);
-  EXPECT_THROW(
-      EncodePayload(PredictRequest{"", {MakeRecord(), MakeRecord(1)}}, 1),
-      Error);
-  EXPECT_THROW(EncodePayload(Ping{"mall"}, 1), Error);
-  EXPECT_THROW(EncodePayload(ReloadRequest{"mall"}, 1), Error);
-  EXPECT_THROW(EncodePayload(ListModelsRequest{}, 1), Error);
-  EXPECT_THROW(EncodePayload(StatsRequest{}, 1), Error);
-  PredictResponse two;
-  two.results.resize(2);
-  EXPECT_THROW(EncodePayload(two, 1), Error);
-}
-
-TEST(ProtocolV1CompatTest, V1FrameWithAdminTypeCodeIsRejected) {
-  for (const std::uint8_t type : {7, 8, 9, 10}) {
-    std::ostringstream out;
-    WriteHeader(out, kFrameMagic, 1);
-    WriteU8(out, type);
-    EXPECT_THROW(DecodePayload(std::move(out).str()), Error)
-        << "type " << static_cast<unsigned>(type);
-  }
-}
-
-// --- v2 <-> v3 compatibility ----------------------------------------------
-
-/// Messages a v2 peer can express: everything except the ingest surface
-/// and the v3/v4 ModelStats fields (publish source, pending ingest,
-/// shared/owned snapshot bytes).
-std::vector<Message> V2Messages() {
-  PredictRequest named_batch;
-  named_batch.model = "mall";
-  named_batch.records = {MakeRecord(7), MakeRecord()};
-  StatsResponse stats;
-  stats.connections_accepted = 17;
-  stats.models = {{"campus", 2, 100, 9, 32, 3}};
-  ListModelsResponse listing;
-  listing.default_model = "campus";
-  listing.models = {{"campus", 2, true}};
-  std::vector<Message> messages;
-  messages.push_back(named_batch);
-  messages.push_back(Ping{"mall"});
-  messages.push_back(Pong{2, true, 42, ""});
-  messages.push_back(ListModelsRequest{});
-  messages.push_back(listing);
-  messages.push_back(StatsRequest{"campus"});
-  messages.push_back(stats);
-  return messages;
-}
-
-TEST(ProtocolV2CompatTest, V2FramesRoundTripThroughTheV3Decoder) {
-  for (const Message& message : V2Messages()) {
-    std::uint32_t version = 0;
-    EXPECT_EQ(DecodePayload(EncodePayload(message, 2), &version), message);
-    EXPECT_EQ(version, 2u);
-  }
-}
-
-// layout-frozen: v2
-TEST(ProtocolV2CompatTest, V2StatsEncodingMatchesTheOriginalWireBytes) {
-  // The PR 3 v2 ModelStats layout must survive byte-for-byte: the ingest
-  // and snapshot-accounting fields exist only in v3 frames.
-  StatsResponse stats;
-  stats.connections_accepted = 17;
-  stats.models = {{"campus", 2, 100, 9, 32, 3, PublishSource::kIngest, 12,
-                   /*shared_bytes=*/555, /*owned_bytes=*/666}};
-  std::ostringstream expected;
-  WriteHeader(expected, kFrameMagic, 2);
-  WriteU8(expected, 10);  // kStatsResponse
-  WriteU64(expected, 17);
-  WriteU32(expected, 1);
-  WriteString(expected, "campus");
-  for (const std::uint64_t value : {2, 100, 9, 32, 3}) {
-    WriteU64(expected, value);
-  }
-  EXPECT_EQ(EncodePayload(stats, 2), std::move(expected).str());
-  // Decoding the v2 bytes reports the defaults for the missing fields.
-  const Message decoded = DecodePayload(EncodePayload(stats, 2));
-  const auto* response = std::get_if<StatsResponse>(&decoded);
-  ASSERT_NE(response, nullptr);
-  EXPECT_EQ(response->models[0].last_publish_source, PublishSource::kDisk);
-  EXPECT_EQ(response->models[0].pending_ingest, 0u);
-  EXPECT_EQ(response->models[0].shared_bytes, 0u);
-  EXPECT_EQ(response->models[0].owned_bytes, 0u);
-}
-
-// layout-frozen: v3
-TEST(ProtocolV3CompatTest, V3StatsEncodingsMatchThePr4WireBytes) {
-  // The v3 layouts must survive the v4 bump byte-for-byte: snapshot
-  // accounting (ModelStats) and fold latency (IngestModelStats) exist only
-  // in v4 frames.
-  StatsResponse stats;
-  stats.connections_accepted = 17;
-  stats.models = {{"campus", 2, 100, 9, 32, 3, PublishSource::kIngest, 12,
-                   /*shared_bytes=*/555, /*owned_bytes=*/666}};
-  std::ostringstream expected;
-  WriteHeader(expected, kFrameMagic, 3);
-  WriteU8(expected, 10);  // kStatsResponse
-  WriteU64(expected, 17);
-  WriteU32(expected, 1);
-  WriteString(expected, "campus");
-  for (const std::uint64_t value : {2, 100, 9, 32, 3}) {
-    WriteU64(expected, value);
-  }
-  WriteU8(expected, 1);  // PublishSource::kIngest
-  WriteU64(expected, 12);
-  EXPECT_EQ(EncodePayload(stats, 3), std::move(expected).str());
-  // Decoding the v3 bytes reports zero for the v4-only fields.
-  const Message decoded = DecodePayload(EncodePayload(stats, 3));
-  const auto* response = std::get_if<StatsResponse>(&decoded);
-  ASSERT_NE(response, nullptr);
-  EXPECT_EQ(response->models[0].pending_ingest, 12u);
-  EXPECT_EQ(response->models[0].shared_bytes, 0u);
-  EXPECT_EQ(response->models[0].owned_bytes, 0u);
-
-  IngestStatsResponse ingest;
-  ingest.enabled = true;
-  ingest.models = {{"campus", 90, 2, 5, 80, 40, 12345, 3, 7,
-                    /*fold_min_us=*/150, /*fold_mean_us=*/420,
-                    /*fold_max_us=*/1800, /*last_fold_us=*/300}};
-  std::ostringstream ingest_expected;
-  WriteHeader(ingest_expected, kFrameMagic, 3);
-  WriteU8(ingest_expected, 14);  // kIngestStatsResponse
-  WriteU8(ingest_expected, 1);
-  WriteU32(ingest_expected, 1);
-  WriteString(ingest_expected, "campus");
-  for (const std::uint64_t value : {90, 2, 5, 80, 40, 12345, 3, 7}) {
-    WriteU64(ingest_expected, value);
-  }
-  EXPECT_EQ(EncodePayload(ingest, 3), std::move(ingest_expected).str());
-  const Message ingest_decoded = DecodePayload(EncodePayload(ingest, 3));
-  const auto* ingest_response =
-      std::get_if<IngestStatsResponse>(&ingest_decoded);
-  ASSERT_NE(ingest_response, nullptr);
-  EXPECT_EQ(ingest_response->models[0].publishes, 3u);
-  EXPECT_EQ(ingest_response->models[0].fold_min_us, 0u);
-  EXPECT_EQ(ingest_response->models[0].last_fold_us, 0u);
-}
-
-// layout-frozen: v4
-TEST(ProtocolV4CompatTest, V4StatsEncodingMatchesThePr5WireBytes) {
-  // The v4 StatsResponse layout must survive the v5 bump byte-for-byte:
-  // the transport block exists only in v5 frames, after the models array.
-  StatsResponse stats;
-  stats.connections_accepted = 17;
-  stats.models = {{"campus", 2, 100, 9, 32, 3, PublishSource::kIngest, 12,
-                   /*shared_bytes=*/555, /*owned_bytes=*/666}};
-  stats.transport.connections_live = 3;
-  stats.transport.frames_in = 1000;  // must NOT leak into v4 bytes
-  std::ostringstream expected;
-  WriteHeader(expected, kFrameMagic, 4);
-  WriteU8(expected, 10);  // kStatsResponse
-  WriteU64(expected, 17);
-  WriteU32(expected, 1);
-  WriteString(expected, "campus");
-  for (const std::uint64_t value : {2, 100, 9, 32, 3}) {
-    WriteU64(expected, value);
-  }
-  WriteU8(expected, 1);  // PublishSource::kIngest
-  WriteU64(expected, 12);
-  WriteU64(expected, 555);
-  WriteU64(expected, 666);
-  EXPECT_EQ(EncodePayload(stats, 4), std::move(expected).str());
-  // Decoding the v4 bytes reports the all-zero transport defaults.
-  const Message decoded = DecodePayload(EncodePayload(stats, 4));
-  const auto* response = std::get_if<StatsResponse>(&decoded);
-  ASSERT_NE(response, nullptr);
-  EXPECT_EQ(response->models[0].shared_bytes, 555u);
-  EXPECT_EQ(response->transport, TransportStats{});
-}
-
 TEST(ProtocolV5Test, TransportStatsRoundTripWithNonZeroCounters) {
   StatsResponse stats;
   stats.connections_accepted = 17;
@@ -492,90 +257,10 @@ TEST(ProtocolV5Test, TransportStatsRoundTripWithNonZeroCounters) {
                      /*bytes_out=*/55443322,
                      /*requests_rejected_busy=*/31,
                      /*event_workers=*/4};
-  std::uint32_t version = 0;
-  const Message decoded = DecodePayload(EncodePayload(stats, 5), &version);
-  EXPECT_EQ(version, 5u);
+  const Message decoded = DecodePayload(EncodePayload(stats));
   const auto* response = std::get_if<StatsResponse>(&decoded);
   ASSERT_NE(response, nullptr);
   EXPECT_EQ(*response, stats);
-  // The transport block sits after the models array, so the v5 payload is
-  // exactly the v4 payload plus the eight u64 counters.
-  EXPECT_EQ(EncodePayload(stats, 5).size(),
-            EncodePayload(stats, 4).size() + 64);
-}
-
-// --- v5 <-> v6 compatibility ----------------------------------------------
-
-// layout-frozen: v5
-TEST(ProtocolV5CompatTest, V5EncodingsAreFrozenByTheV6Bump) {
-  // StatsResponse: the store block exists only in v6 frames, after the
-  // transport block — u8 enabled + three u64 counters = 25 bytes.
-  StatsResponse stats;
-  stats.connections_accepted = 17;
-  stats.models = {{"campus", 2, 100, 9, 32, 3, PublishSource::kIngest, 12,
-                   /*shared_bytes=*/555, /*owned_bytes=*/666}};
-  stats.store = {/*enabled=*/true, /*base_count=*/3, /*delta_count=*/9,
-                 /*journal_bytes_reclaimed=*/4096};  // must NOT leak into v5
-  EXPECT_EQ(EncodePayload(stats).size(), EncodePayload(stats, 5).size() + 25);
-  {
-    const Message decoded = DecodePayload(EncodePayload(stats, 5));
-    const auto* response = std::get_if<StatsResponse>(&decoded);
-    ASSERT_NE(response, nullptr);
-    EXPECT_EQ(response->store, StoreStats{});
-  }
-
-  // IngestModelStats: the journal_dropped_bytes + replayed_batches pair is
-  // a v6-only suffix of each model entry — two u64s.
-  IngestStatsResponse ingest;
-  ingest.enabled = true;
-  ingest.models = {{"campus", 90, 2, 5, 80, 40, 12345, 3, 7, 150, 420, 1800,
-                    300, /*journal_dropped_bytes=*/17,
-                    /*replayed_batches=*/4}};
-  EXPECT_EQ(EncodePayload(ingest).size(),
-            EncodePayload(ingest, 5).size() + 16);
-  {
-    const Message decoded = DecodePayload(EncodePayload(ingest, 5));
-    const auto* response = std::get_if<IngestStatsResponse>(&decoded);
-    ASSERT_NE(response, nullptr);
-    EXPECT_EQ(response->models[0].journal_dropped_bytes, 0u);
-    EXPECT_EQ(response->models[0].replayed_batches, 0u);
-  }
-
-  // ReloadRequest: the generation pin is a v6-only u64; an unpinned reload
-  // still encodes at v5 byte-for-byte, a pinned one cannot be expressed.
-  EXPECT_EQ(EncodePayload(ReloadRequest{"mall"}).size(),
-            EncodePayload(ReloadRequest{"mall"}, 5).size() + 8);
-  ReloadRequest pinned;
-  pinned.generation = 3;
-  EXPECT_THROW(EncodePayload(pinned, 5), Error);
-  EXPECT_THROW(EncodePayload(pinned, 2), Error);
-}
-
-TEST(ProtocolV5CompatTest, OlderVersionsCannotExpressStoreMessages) {
-  const std::vector<Message> store_messages = {
-      CheckpointRequest{},      CheckpointResponse{},
-      CompactRequest{},         CompactResponse{},
-      ListArtifactsRequest{},   ListArtifactsResponse{},
-  };
-  for (const Message& message : store_messages) {
-    for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
-      EXPECT_THROW(EncodePayload(message, version), Error)
-          << "version " << version;
-    }
-  }
-}
-
-TEST(ProtocolV5CompatTest, OlderFramesWithStoreTypeCodesAreRejected) {
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
-    for (const std::uint8_t type : {15, 16, 17, 18, 19, 20}) {
-      std::ostringstream out;
-      WriteHeader(out, kFrameMagic, version);
-      WriteU8(out, type);
-      EXPECT_THROW(DecodePayload(std::move(out).str()), Error)
-          << "version " << version << " type "
-          << static_cast<unsigned>(type);
-    }
-  }
 }
 
 TEST(ProtocolV6Test, ArtifactListingsAreBoundedAgainstHostileLengths) {
@@ -586,55 +271,6 @@ TEST(ProtocolV6Test, ArtifactListingsAreBoundedAgainstHostileLengths) {
   WriteU8(out, 1);   // enabled
   WriteU32(out, 0xFFFFFFFFu);
   EXPECT_THROW(DecodePayload(std::move(out).str()), Error);
-}
-
-// --- v6 <-> v7 compatibility ----------------------------------------------
-
-// layout-frozen: v6
-TEST(ProtocolV6CompatTest, V6EncodingsAreFrozenByTheV7Bump) {
-  // v7 adds only the two metrics message types; no existing message grew a
-  // field. Every v6-expressible message must therefore encode at v6 into
-  // exactly its v7 bytes with only the header's version word differing —
-  // and keep decoding.
-  std::ostringstream v6_header_stream;
-  WriteHeader(v6_header_stream, kFrameMagic, 6);
-  const std::string v6_header = std::move(v6_header_stream).str();
-  for (const Message& message : AllMessageTypes()) {
-    if (std::holds_alternative<MetricsRequest>(message) ||
-        std::holds_alternative<MetricsResponse>(message)) {
-      continue;
-    }
-    const std::string v6 = EncodePayload(message, 6);
-    const std::string v7 = EncodePayload(message, kProtocolVersion);
-    ASSERT_EQ(v6.substr(0, v6_header.size()), v6_header);
-    EXPECT_EQ(v6.substr(v6_header.size()), v7.substr(v6_header.size()));
-    std::uint32_t version = 0;
-    EXPECT_EQ(DecodePayload(v6, &version), message);
-    EXPECT_EQ(version, 6u);
-  }
-}
-
-TEST(ProtocolV6CompatTest, OlderVersionsCannotExpressMetricsMessages) {
-  for (const Message& message :
-       {Message(MetricsRequest{}), Message(MetricsResponse{"x 1\n"})}) {
-    for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u}) {
-      EXPECT_THROW(EncodePayload(message, version), Error)
-          << "version " << version;
-    }
-  }
-}
-
-TEST(ProtocolV6CompatTest, OlderFramesWithMetricsTypeCodesAreRejected) {
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    for (const std::uint8_t type : {21, 22}) {
-      std::ostringstream out;
-      WriteHeader(out, kFrameMagic, version);
-      WriteU8(out, type);
-      EXPECT_THROW(DecodePayload(std::move(out).str()), Error)
-          << "version " << version << " type "
-          << static_cast<unsigned>(type);
-    }
-  }
 }
 
 TEST(ProtocolV7Test, MetricsResponseEncodingIsTypeByteThenString) {
@@ -653,33 +289,7 @@ TEST(ProtocolV7Test, OversizedMetricsDumpIsRejectedAtEncode) {
   EXPECT_THROW(EncodePayload(metrics), Error);
 }
 
-TEST(ProtocolV2CompatTest, OlderVersionsCannotExpressIngestMessages) {
-  const std::vector<Message> ingest_messages = {
-      SubmitRecordsRequest{"", {MakeRecord()}},
-      SubmitRecordsResponse{{{SubmitStatus::kAccepted, ""}}},
-      IngestStatsRequest{},
-      IngestStatsResponse{},
-  };
-  for (const Message& message : ingest_messages) {
-    EXPECT_THROW(EncodePayload(message, 1), Error);
-    EXPECT_THROW(EncodePayload(message, 2), Error);
-  }
-}
-
-TEST(ProtocolV2CompatTest, OlderFramesWithIngestTypeCodesAreRejected) {
-  for (const std::uint32_t version : {1u, 2u}) {
-    for (const std::uint8_t type : {11, 12, 13, 14}) {
-      std::ostringstream out;
-      WriteHeader(out, kFrameMagic, version);
-      WriteU8(out, type);
-      EXPECT_THROW(DecodePayload(std::move(out).str()), Error)
-          << "version " << version << " type "
-          << static_cast<unsigned>(type);
-    }
-  }
-}
-
-// --- malformed v2 frames --------------------------------------------------
+// --- malformed frames --------------------------------------------------
 
 TEST(ProtocolTest, RejectsBadModelNameLength) {
   std::ostringstream out;
@@ -795,12 +405,20 @@ TEST(ProtocolTest, RejectsGarbageMagic) {
 }
 
 TEST(ProtocolTest, RejectsWrongVersion) {
-  std::ostringstream out;
-  WriteHeader(out, kFrameMagic, kProtocolVersion + 1);
-  WriteU8(out, 3);  // Ping
-  EXPECT_THROW(DecodePayload(std::move(out).str()), Error);
-  EXPECT_THROW(EncodePayload(Ping{}, kProtocolVersion + 1), Error);
-  EXPECT_THROW(EncodePayload(Ping{}, 0), Error);
+  // v7 is the only dialect: every other header version — including the
+  // retired v1..v6 — is malformed, even with an otherwise valid v7 body.
+  const auto ping_at = [](std::uint32_t version) {
+    std::ostringstream out;
+    WriteHeader(out, kFrameMagic, version);
+    WriteU8(out, 3);  // Ping
+    WriteString(out, "");
+    return std::move(out).str();
+  };
+  EXPECT_EQ(DecodePayload(ping_at(kProtocolVersion)), Message(Ping{}));
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
+    EXPECT_THROW(DecodePayload(ping_at(version)), Error)
+        << "version " << version;
+  }
 }
 
 TEST(ProtocolTest, RejectsUnknownMessageType) {
@@ -837,16 +455,6 @@ TEST(FramingTest, SendReceiveRoundTripsOverSocket) {
   SocketPair pair;
   for (const Message& message : AllMessageTypes()) {
     SendFrame(pair.fds[0], message);
-    const std::optional<Message> received = ReceiveFrame(pair.fds[1]);
-    ASSERT_TRUE(received.has_value());
-    EXPECT_EQ(*received, message);
-  }
-}
-
-TEST(FramingTest, V1FramesRoundTripOverSocket) {
-  SocketPair pair;
-  for (const Message& message : V1Messages()) {
-    SendFrame(pair.fds[0], message, 1);
     const std::optional<Message> received = ReceiveFrame(pair.fds[1]);
     ASSERT_TRUE(received.has_value());
     EXPECT_EQ(*received, message);

@@ -1,6 +1,7 @@
 // Round-trip tests for the binary model-persistence path.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 
@@ -43,6 +44,30 @@ TEST(SerializeTest, TruncatedStreamThrows) {
   WriteU64(stream, 99);
   ReadU32(stream);
   EXPECT_THROW(ReadU64(stream), Error);
+}
+
+TEST(SerializeTest, RequireAvailableBoundsCountsByTheRestOfTheStream) {
+  std::stringstream stream;
+  WriteU64(stream, 1);
+  WriteU64(stream, 2);
+  ReadU64(stream);  // 8 bytes left
+  EXPECT_NO_THROW(RequireAvailable(stream, 8, 1, "bytes"));
+  EXPECT_NO_THROW(RequireAvailable(stream, 1, 8, "u64s"));
+  EXPECT_THROW(RequireAvailable(stream, 9, 1, "bytes"), Error);
+  EXPECT_THROW(RequireAvailable(stream, 2, 8, "u64s"), Error);
+  EXPECT_THROW(RequireAvailable(stream, 1ULL << 62, 16, "pairs"), Error);
+  EXPECT_EQ(ReadU64(stream), 2u);  // the probe left the read position alone
+}
+
+TEST(SerializeTest, HostileMatrixShapeThrowsBeforeAllocating) {
+  // Headers whose element count dwarfs the stream must be an Error, not a
+  // std::length_error or std::bad_alloc escaping from the allocation.
+  for (const std::uint64_t side : {1ULL << 31, 1ULL << 26}) {
+    std::stringstream stream;
+    WriteU64(stream, side);
+    WriteU64(stream, side);
+    EXPECT_THROW(ReadMatrix(stream), Error) << side;
+  }
 }
 
 TEST(SerializeTest, HeaderMismatchThrows) {
@@ -143,6 +168,42 @@ TEST(SerializeTest, GraficsModelRoundTripPredictsIdentically) {
         sim.MeasureAt({15.0 + i, 20.0, floor * 4.0 + 1.2}, floor);
     EXPECT_EQ(original.Predict(probe), restored.Predict(probe)) << i;
   }
+}
+
+TEST(SerializeTest, HostileClusterCountInSavedModelThrows) {
+  rf::SignalRecord r1;
+  r1.Add(rf::MacAddress(1), -50.0);
+  r1.set_floor(0);
+  rf::SignalRecord r2;
+  r2.Add(rf::MacAddress(1), -60.0);
+  r2.Add(rf::MacAddress(2), -70.0);
+  core::GraficsConfig config;
+  config.trainer.samples_per_edge = 20;
+  core::Grafics system(config);
+  system.Train({r1, r2});
+  std::stringstream saved;
+  system.SaveModel(saved);
+  std::string bytes = saved.str();
+
+  // The cluster count follows the per-point cluster ids; find it by the
+  // bytes SaveModel wrote for them.
+  const cluster::ClusteringResult& clustering = system.clustering();
+  std::ostringstream prefix;
+  WriteU64(prefix, clustering.cluster_of_point.size());
+  for (const std::size_t c : clustering.cluster_of_point) WriteU64(prefix, c);
+  WriteU64(prefix, clustering.cluster_label.size());
+  const std::string needle = std::move(prefix).str();
+  const std::size_t at = bytes.rfind(needle);
+  ASSERT_NE(at, std::string::npos);
+  {
+    std::istringstream intact(bytes);
+    ASSERT_NO_THROW(core::Grafics::LoadModel(intact));
+  }
+  const std::uint64_t hostile = 1ULL << 62;
+  std::memcpy(bytes.data() + at + needle.size() - sizeof(hostile), &hostile,
+              sizeof(hostile));
+  std::istringstream corrupt(bytes);
+  EXPECT_THROW(core::Grafics::LoadModel(corrupt), Error);
 }
 
 TEST(SerializeTest, SaveUntrainedThrows) {

@@ -1,9 +1,9 @@
 // Tests for the serving daemon: the TCP server/client loop against the
 // in-process reference, named-model routing through the ModelRegistry,
-// protocol-v1 compatibility over a real socket, per-model hot-reload
+// rejection of every dialect but v7 over a real socket, per-model hot-reload
 // isolation (a reload racing another model's in-flight batches is what the
 // CI ThreadSanitizer job is there to check), micro-batch coalescing, and
-// the v3 ingest surface: submitted records folded in the background while
+// the ingest surface: submitted records folded in the background while
 // concurrent predictions stay bit-identical to a published snapshot. The
 // telemetry section at the bottom scrapes GET /metrics over a real socket
 // and cross-checks the exposition against the StatsResponse wire surface.
@@ -18,10 +18,12 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/serialize.h"
 #include "core/grafics.h"
 #include "ingest/ingest_pipeline.h"
 #include "obs/admin_server.h"
@@ -459,7 +461,7 @@ TEST(ClientTest, ReceiveLimitIsConfigurableAndEnforced) {
   server.Start();
   // A tiny receive cap makes the client reject its own (large, batched)
   // reply; the default cap accepts it. This is the client-side knob for
-  // big v2 batch responses.
+  // big batch responses.
   ClientConfig tiny;
   tiny.max_frame_bytes = 16;
   Client capped("127.0.0.1", server.port(), tiny);
@@ -513,49 +515,41 @@ int ConnectRaw(std::uint16_t port) {
   return fd;
 }
 
-TEST(ServerTest, V1FramesAreServedByTheDefaultModelInV1Dialect) {
-  const Fixture& a = ModelA();
-  const Fixture& b = ModelB();
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
-  registry->Load("alpha", a.model);
-  registry->Load("beta", b.model);
-  Server server(registry);
+TEST(ServerTest, OutOfWindowFramesGetOneV7ErrorThenClose) {
+  Server server(AlphaRegistry());
   server.Start();
 
-  // A deployed v1 client: single-record frames, no model names, expects v1
-  // replies. It must keep getting the default model's exact answers from
-  // the v2 daemon.
-  const int fd = ConnectRaw(server.port());
-  for (std::size_t i = 0; i < 4; ++i) {
-    SendFrame(fd, PredictRequest{"", {a.queries[i]}}, /*version=*/1);
-    const std::optional<std::string> payload = ReceiveFramePayload(fd);
-    ASSERT_TRUE(payload.has_value());
-    std::uint32_t version = 0;
-    const Message reply = DecodePayload(*payload, &version);
-    EXPECT_EQ(version, 1u) << "v1 requests get v1-encoded replies";
-    const auto* response = std::get_if<PredictResponse>(&reply);
-    ASSERT_NE(response, nullptr);
+  // A well-formed Ping in any dialect but v7 is malformed: one error reply
+  // (DecodePayload accepts only v7, so decoding it proves its dialect),
+  // then the daemon hangs up.
+  for (const std::uint32_t version : {6u, 8u}) {
+    std::ostringstream ping;
+    WriteHeader(ping, kFrameMagic, version);
+    WriteU8(ping, 3);  // kPing
+    WriteString(ping, "");
+    const std::string payload = std::move(ping).str();
+    const auto length = static_cast<std::uint32_t>(payload.size());
+    const int fd = ConnectRaw(server.port());
+    ASSERT_EQ(::send(fd, &length, sizeof(length), 0),
+              static_cast<ssize_t>(sizeof(length)));
+    ASSERT_EQ(::send(fd, payload.data(), payload.size(), 0),
+              static_cast<ssize_t>(payload.size()));
+    const std::optional<std::string> reply = ReceiveFramePayload(fd);
+    ASSERT_TRUE(reply.has_value()) << "version " << version;
+    const Message decoded = DecodePayload(*reply);
+    const auto* response = std::get_if<PredictResponse>(&decoded);
+    ASSERT_NE(response, nullptr) << "version " << version;
     ASSERT_EQ(response->results.size(), 1u);
-    const PredictResult& result = response->results.front();
-    if (a.reference[i].has_value()) {
-      EXPECT_EQ(result.status, PredictStatus::kOk);
-      EXPECT_EQ(result.floor, *a.reference[i]);
-    } else {
-      EXPECT_EQ(result.status, PredictStatus::kDiscarded);
-    }
+    EXPECT_EQ(response->results.front().status, PredictStatus::kError);
+    EXPECT_FALSE(ReceiveFramePayload(fd).has_value()) << "version " << version;
+    ::close(fd);
   }
-  // v1 Ping: the Pong comes back v1-encoded (generation only).
-  SendFrame(fd, Ping{}, /*version=*/1);
-  const std::optional<std::string> payload = ReceiveFramePayload(fd);
-  ASSERT_TRUE(payload.has_value());
-  std::uint32_t version = 0;
-  const Message reply = DecodePayload(*payload, &version);
-  EXPECT_EQ(version, 1u);
-  const auto* pong = std::get_if<Pong>(&reply);
-  ASSERT_NE(pong, nullptr);
-  EXPECT_EQ(pong->protocol_version, 1u);
-  EXPECT_EQ(pong->model_generation, 1u);
-  ::close(fd);
+
+  // A v7 Ping on a fresh connection is still served.
+  Client client("127.0.0.1", server.port());
+  const Pong pong = client.Ping();
+  EXPECT_TRUE(pong.ok);
+  EXPECT_EQ(pong.protocol_version, 7u);
   server.Stop();
 }
 

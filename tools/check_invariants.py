@@ -10,11 +10,11 @@ express on their own:
    src/ outside common/annotated_sync.h. Every lock must be a grafics::Mutex
    so the Clang thread-safety analysis sees it.
 
-2. protocol-freeze: every wire dialect older than the current
-   kProtocolVersion has a frozen-byte-layout assertion in
-   tests/protocol_test.cc, marked by a `layout-frozen: v<k>` comment. A
-   version bump without freezing the previous dialect's bytes fails here
-   before it can ship an incompatible decoder.
+2. protocol-freeze: the one supported wire dialect, kProtocolVersion, has
+   a frozen-byte-layout assertion in tests/protocol_test.cc, marked by a
+   `layout-frozen: v<k>` comment with k == kProtocolVersion. A version bump
+   without pinning the new dialect's bytes fails here, so a layout change
+   cannot ship without a test that notices the next one.
 
 3. durable-rename: every ::rename( in src/store/ is preceded (within the
    same file, a few dozen lines above) by an fsync/fdatasync call — the
@@ -158,16 +158,13 @@ def check_protocol_freeze(root: str) -> list[str]:
     current = int(match.group(1))
     with open(test, encoding="utf-8") as f:
         frozen = {int(m.group(1)) for m in FROZEN_MARKER.finditer(f.read())}
-    problems = []
-    for version in range(1, current):
-        if version not in frozen:
-            problems.append(
-                f"tests/protocol_test.cc: no `layout-frozen: v{version}` "
-                f"byte-layout assertion for protocol v{version} "
-                f"(kProtocolVersion is {current}; every older dialect must "
-                "keep a frozen-bytes test)"
-            )
-    return problems
+    if current in frozen:
+        return []
+    return [
+        f"tests/protocol_test.cc: no `layout-frozen: v{current}` "
+        f"byte-layout assertion for protocol v{current} (kProtocolVersion; "
+        "the supported dialect must keep a frozen-bytes test)"
+    ]
 
 
 def check_durable_rename(root: str) -> list[str]:
@@ -282,10 +279,12 @@ def self_test() -> int:
                     "\n")
         with open(os.path.join(root, "src", "serve", "protocol.h"),
                   "w", encoding="utf-8") as f:
-            f.write("constexpr int kProtocolVersion = 3;\n")
+            f.write("constexpr int kProtocolVersion = 7;\n")
         with open(os.path.join(root, "tests", "protocol_test.cc"),
                   "w", encoding="utf-8") as f:
-            f.write("// layout-frozen: v1\n")  # v2 marker missing on purpose
+            # Only retired dialects are pinned; the v7 marker is missing on
+            # purpose.
+            f.write("// layout-frozen: v6\n")
         with open(os.path.join(root, "src", "store", "bad_store.cc"),
                   "w", encoding="utf-8") as f:
             f.write("void Commit() {\n"
@@ -330,7 +329,7 @@ def self_test() -> int:
         expected = [
             ("bad_sync.cc:3", "std::mutex"),
             ("bad_sync.cc:4", "std::lock_guard"),
-            ("protocol_test.cc", "layout-frozen: v2"),
+            ("protocol_test.cc", "layout-frozen: v7"),
             ("bad_store.cc:2", "::rename without"),
             ("bad_obs.cc:3", "does not match grafics_[a-z0-9_]+"),
             ("bad_obs.cc:4", "not cataloged in docs/observability.md"),
