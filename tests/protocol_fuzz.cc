@@ -18,9 +18,9 @@
 //  1. DecodePayload either returns a Message or throws grafics::Error —
 //     any other exception, signal, or sanitizer report is a bug.
 //  2. Round-trip stability: a successfully decoded message re-encodes and
-//     decodes back to an equal Message. This
-//     catches asymmetric encode/decode drift that byte-frozen tests for
-//     hand-picked values would miss.
+//     decodes back to an equal Message. This catches asymmetric
+//     encode/decode drift that byte-frozen tests for hand-picked values
+//     would miss.
 
 #include <cstdint>
 #include <cstdio>
@@ -71,8 +71,8 @@ void FuzzDecodeOne(const std::string& payload) {
   }
 }
 
-/// Valid frames covering every message type: the corpus the
-/// coverage-guided fuzzer mutates from, and the smoke test's base inputs.
+/// Valid frames covering every message type: the corpus the coverage-guided
+/// fuzzer mutates from, and the smoke test's base inputs.
 std::vector<std::string> SeedCorpus() {
   using namespace grafics::serve;
   grafics::rf::SignalRecord record;
