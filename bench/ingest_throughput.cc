@@ -122,10 +122,7 @@ int main(int argc, char** argv) {
   // In-process reference: the same chunked Update sequence on a clone.
   core::Grafics reference = base.Clone();
 
-  serve::BatcherConfig batcher;
-  batcher.max_batch_size = 32;
-  batcher.max_delay = std::chrono::milliseconds(2);
-  auto registry = std::make_shared<serve::ModelRegistry>(batcher);
+  auto registry = std::make_shared<serve::ModelRegistry>();
   registry->Load("campus",
                  std::make_shared<const core::Grafics>(base.Clone()));
 
@@ -205,7 +202,7 @@ int main(int argc, char** argv) {
   // Correctness gate 2 (the restart story): a fresh registry + pipeline on
   // the same journal must replay to the same predictions.
   try {
-    auto replay_registry = std::make_shared<serve::ModelRegistry>(batcher);
+    auto replay_registry = std::make_shared<serve::ModelRegistry>();
     replay_registry->Load(
         "campus", std::make_shared<const core::Grafics>(base.Clone()));
     ingest::IngestPipeline replay_pipeline(replay_registry, ingest_config);

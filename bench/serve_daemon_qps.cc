@@ -7,8 +7,8 @@
 // the harness verifies every networked prediction bit-matches that model's
 // in-process PredictBatch reference — the wire path must not change a
 // single answer, and routing must never cross models. Reports QPS per
-// (model, connection count) plus micro-batch coalescing stats and one
-// batched-frame (protocol v2 PredictBatch) round-trip measurement per
+// (model, connection count) plus dispatch stats (pool tasks, records per
+// task) and one batched-frame (PredictBatch) round-trip measurement per
 // model, and writes a BENCH_serve_daemon_qps_<model>.json sidecar per model
 // for the CI perf-trajectory artifact.
 //
@@ -20,8 +20,7 @@
 //
 // Run:  ./build/bench/serve_daemon_qps
 //       ./build/bench/serve_daemon_qps --records-per-floor 200 --queries 80 \
-//           --connections 1,4 --max-batch 32 --max-delay-ms 2 \
-//           --model campus --model annex
+//           --connections 1,4 --model campus --model annex
 //       ./build/bench/serve_daemon_qps --connections 1,64,512 \
 //           --report epoll_transport
 #include <algorithm>
@@ -50,8 +49,6 @@ using Clock = std::chrono::steady_clock;
 struct Args {
   int records_per_floor = 400;
   std::size_t queries = 200;
-  std::size_t max_batch = 32;
-  unsigned max_delay_ms = 2;
   std::vector<std::size_t> connections = {1, 2, 4};
   std::vector<std::string> models = {"campus"};
   std::string report;  // combined BENCH_<report>.json, empty = none
@@ -65,10 +62,6 @@ Args ParseArgs(int argc, char** argv) {
       "--records-per-floor"));
   args.queries = ParseUnsigned(FlagValue(raw, "--queries", "200"), 1000000,
                                "--queries");
-  args.max_batch = ParseUnsigned(FlagValue(raw, "--max-batch", "32"), 1 << 20,
-                                 "--max-batch");
-  args.max_delay_ms = static_cast<unsigned>(ParseUnsigned(
-      FlagValue(raw, "--max-delay-ms", "2"), 60000, "--max-delay-ms"));
   const std::string list = FlagValue(raw, "--connections", "1,2,4");
   args.connections.clear();
   for (std::size_t begin = 0; begin < list.size();) {
@@ -163,17 +156,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("== serve_daemon_qps: TCP daemon, %zu named model(s), "
-              "micro-batching ==\n",
+  std::printf("== serve_daemon_qps: TCP daemon, %zu named model(s) ==\n",
               args.models.size());
-  std::printf("   campus preset per model, max-batch %zu, max-delay %ums\n",
-              args.max_batch, args.max_delay_ms);
+  std::printf("   campus preset per model, predicts on one shared pool of "
+              "all cores\n");
 
-  serve::BatcherConfig batcher;
-  batcher.max_batch_size = args.max_batch;
-  batcher.max_delay = std::chrono::milliseconds(args.max_delay_ms);
-  batcher.predict_threads = 0;  // one shared pool, all cores
-  auto registry = std::make_shared<serve::ModelRegistry>(batcher);
+  auto registry = std::make_shared<serve::ModelRegistry>(/*threads=*/0);
 
   std::vector<BenchModel> models;
   models.reserve(args.models.size());

@@ -70,6 +70,9 @@ void AliasSampler::Save(std::ostream& out) const {
 AliasSampler AliasSampler::Load(std::istream& in) {
   AliasSampler sampler;
   const std::uint64_t n = ReadU64(in);
+  // Three 8-byte tables follow; a count the stream cannot hold is an Error,
+  // not a hostile-sized allocation.
+  RequireAvailable(in, n, 24, "alias sampler table");
   sampler.probability_.resize(n);
   for (double& p : sampler.probability_) p = ReadDouble(in);
   sampler.alias_.resize(n);

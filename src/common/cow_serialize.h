@@ -12,6 +12,7 @@
 //   then per chunk: u32 chunk_index, u32 element_count, elements...
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -22,6 +23,21 @@
 #include "common/serialize.h"
 
 namespace grafics {
+
+/// Guards a delta's declared size before the chunk table grows to it: every
+/// chunk slot the delta adds must be filled by a chunk record of at least 8
+/// bytes (u32 index + u32 count), so a size the rest of the stream cannot
+/// populate is rejected instead of allocating a hostile-sized table.
+inline void RequireDeltaSlotsAvailable(std::istream& in,
+                                       std::uint64_t new_size,
+                                       std::size_t per_chunk,
+                                       std::size_t current_chunks,
+                                       const char* what) {
+  const std::uint64_t chunks =
+      new_size / per_chunk + (new_size % per_chunk != 0 ? 1 : 0);
+  RequireAvailable(in, chunks - std::min<std::uint64_t>(chunks, current_chunks),
+                   8, what);
+}
 
 template <typename T, std::size_t kChunkSize, typename WriteElem>
 void WriteCowVectorDelta(std::ostream& out,
@@ -48,6 +64,8 @@ void ApplyCowVectorDelta(std::istream& in, CowVector<T, kChunkSize>& target,
   const std::uint64_t new_size = ReadU64(in);
   Require(new_size >= target.size(),
           "ApplyCowVectorDelta: delta shrinks the container");
+  RequireDeltaSlotsAvailable(in, new_size, kChunkSize, target.num_chunks(),
+                             "delta chunk table");
   target.ResizeForDelta(new_size);
   const std::uint32_t delta_chunks = ReadU32(in);
   Require(delta_chunks <= target.num_chunks(),
@@ -159,6 +177,8 @@ inline void ApplyCowMatrixDelta(std::istream& in, CowMatrix& target) {
   const std::uint64_t new_rows = ReadU64(in);
   Require(new_rows >= target.rows(),
           "ApplyCowMatrixDelta: delta shrinks the matrix");
+  RequireDeltaSlotsAvailable(in, new_rows, CowMatrix::kRowsPerChunk,
+                             target.num_chunks(), "delta matrix chunk table");
   target.ResizeForDelta(new_rows);
   const std::uint32_t delta_chunks = ReadU32(in);
   Require(delta_chunks <= target.num_chunks(),

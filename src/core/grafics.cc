@@ -135,8 +135,7 @@ std::vector<std::optional<rf::FloorId>> Grafics::PredictBatch(
   Require(is_trained(), "Grafics::PredictBatch: call Train first");
   std::vector<std::optional<rf::FloorId>> predictions(records.size());
   const std::size_t num_threads =
-      options.pool != nullptr ? options.pool->num_threads()
-      : options.num_threads == 0
+      options.num_threads == 0
           ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
           : options.num_threads;
   if (num_threads == 1 || records.size() <= 1) {
@@ -149,21 +148,13 @@ std::vector<std::optional<rf::FloorId>> Grafics::PredictBatch(
   // One snapshot-isolated context per worker: workers share only read-only
   // model state, so chunks run without locks and the result is bit-identical
   // to the serial path.
-  const auto run_chunks = [&](ThreadPool& pool) {
-    pool.ParallelFor(0, records.size(),
-                     [&](std::size_t begin, std::size_t end) {
-                       InferenceContext context(*this);
-                       for (std::size_t i = begin; i < end; ++i) {
-                         predictions[i] = context.Predict(records[i]);
-                       }
-                     });
-  };
-  if (options.pool != nullptr) {
-    run_chunks(*options.pool);
-  } else {
-    ThreadPool pool(num_threads);
-    run_chunks(pool);
-  }
+  ThreadPool pool(num_threads);
+  pool.ParallelFor(0, records.size(), [&](std::size_t begin, std::size_t end) {
+    InferenceContext context(*this);
+    for (std::size_t i = begin; i < end; ++i) {
+      predictions[i] = context.Predict(records[i]);
+    }
+  });
   return predictions;
 }
 

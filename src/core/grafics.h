@@ -22,10 +22,6 @@
 #include "graph/weight_function.h"
 #include "rf/dataset.h"
 
-namespace grafics {
-class ThreadPool;
-}
-
 namespace grafics::core {
 
 class InferenceContext;
@@ -64,11 +60,6 @@ struct BatchPredictOptions {
   /// extended, new embeddings refined against the frozen base, clusters and
   /// centroids untouched. Requires a non-const Grafics.
   bool keep = false;
-  /// Pre-built pool to fan the batch over instead of constructing one per
-  /// call (the serving hot path flushes many micro-batches per second).
-  /// Overrides num_threads with pool->num_threads() when set; the pool must
-  /// outlive the call.
-  ThreadPool* pool = nullptr;
 };
 
 class Grafics {

@@ -11,9 +11,9 @@
 //    are a handful of relaxed atomic operations. No locks, no allocation,
 //    safe from any thread, TSan-clean by construction.
 //  * *Rendering* (RenderPrometheus) takes the mutex again, runs registered
-//    collection hooks (for values that live elsewhere, e.g. queue depths
-//    snapshot from a batcher), and emits the text exposition format a
-//    Prometheus scraper expects. Scrapes are rare; their cost is
+//    collection hooks (for values that live elsewhere, e.g. per-model queue
+//    depths read off the model registry), and emits the text exposition
+//    format a Prometheus scraper expects. Scrapes are rare; their cost is
 //    irrelevant.
 //
 // Relaxed ordering is deliberate: each instrument is an independent
@@ -54,7 +54,8 @@ class Counter {
 
   /// Raises the counter to `total` if it is currently lower — the bridge
   /// for values maintained as lifetime totals elsewhere (EventLoopStats,
-  /// BatcherStats) and synced into the registry by a collection hook.
+  /// the model registry's dispatch totals) and synced into the registry by a
+  /// collection hook.
   /// Monotonic by construction: a stale sync can never move it backward.
   void SyncTo(std::uint64_t total) {
     std::uint64_t current = value_.load(std::memory_order_relaxed);

@@ -3,19 +3,19 @@
 // A Trace captures a monotonic start time at construction and records one
 // entry per pipeline stage: Stamp("frame-decoded") stores the elapsed time
 // since the start, Note("predict", us) stores a duration measured elsewhere
-// (e.g. inside the batcher flush thread and carried back in the
-// completion). Breakdown() renders the whole request as one log-friendly
-// line:
+// (e.g. on the predict pool worker and carried back in the completion).
+// Breakdown() renders the whole request as one log-friendly line:
 //
 //   frame-decoded=+12us enqueued=+31us queue-wait=842us predict=1204us
 //   reply-flushed=+2117us
 //
 // A Trace is deliberately NOT thread-safe: it is owned by one request and
 // every mutation must be ordered by something else (the server stamps
-// before handing the request to the batcher; the batcher mutex is the
-// happens-before edge to the completion that stamps the tail). Traces are
-// heap-allocated only when slow-request logging is enabled, so the default
-// request path never pays for them.
+// before handing the request to the registry; the pool's queue mutex and
+// the request's completion countdown are the happens-before edges to the
+// completion that stamps the tail). Traces are heap-allocated only when
+// slow-request logging is enabled, so the default request path never pays
+// for them.
 #pragma once
 
 #include <chrono>

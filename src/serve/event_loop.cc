@@ -139,7 +139,7 @@ void EventLoop::Stop() {
     if (worker->thread.joinable()) worker->thread.join();
     {
       // After the join nothing reads the mailbox again; close it under its
-      // mutex so a straggler Completion (batcher drain, ops pool) sees
+      // mutex so a straggler Completion (predict pool drain, ops pool) sees
       // `closed` before the eventfd number can be recycled.
       const MutexLock lock(&worker->mailbox->mutex);
       worker->mailbox->closed = true;

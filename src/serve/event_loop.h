@@ -12,15 +12,15 @@
 // Pipelining: a client may send many frames without waiting. Each complete
 // frame opens a reply *slot* in arrival order and is handed to the frame
 // handler together with a Completion; the handler (or anything it forwards
-// the Completion to — a batcher callback, an ops-pool task) later fills the
-// slot with encoded reply bytes from any thread. The worker flushes only
-// the ready prefix of the slot queue, so responses always leave in request
-// order no matter how out-of-order the completions arrive.
+// the Completion to — a predict-pool callback, an ops-pool task) later
+// fills the slot with encoded reply bytes from any thread. The worker
+// flushes only the ready prefix of the slot queue, so responses always leave
+// in request order no matter how out-of-order the completions arrive.
 //
 // Cross-thread completion delivery goes through a per-worker mailbox
 // (mutex + deque + eventfd). The mailbox outlives the worker via
 // shared_ptr and is marked closed after the worker exits, so a completion
-// that fires during shutdown (e.g. from a batcher drain) is a silent no-op
+// that fires during shutdown (e.g. from a predict drain) is a silent no-op
 // instead of a use-after-free.
 //
 // Idle harvesting: connections with no unanswered requests that have been
@@ -105,7 +105,7 @@ struct EventLoopStats {
 class EventLoop {
  public:
   /// Fills one reply slot, from any thread, at most once. Copyable so it
-  /// can ride through std::function into batcher callbacks; extra copies
+  /// can ride through std::function into predict callbacks; extra copies
   /// just address the same slot, and duplicate Sends are dropped. Safe to
   /// call after the connection died or the loop stopped (silent no-op).
   class Completion {

@@ -1,9 +1,12 @@
 #include "serve/model_registry.h"
 
 #include <algorithm>
+#include <chrono>
+#include <exception>
 #include <utility>
 
 #include "common/error.h"
+#include "core/inference_context.h"
 #include "store/model_store.h"
 
 namespace grafics::serve {
@@ -25,18 +28,52 @@ void ValidateName(const std::string& name) {
   }
 }
 
+std::uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+/// The calling worker's InferenceContext over `model`, rebuilt whenever the
+/// worker moves to a different snapshot. The cache is keyed by snapshot
+/// ownership, not address: a freed snapshot's address can be reused by the
+/// next publish, and the stale context (raw pointers into the freed model)
+/// must then never be used. The weak_ptr does not keep old generations
+/// alive, only their control block.
+core::InferenceContext& WorkerContext(
+    const std::shared_ptr<const core::Grafics>& model) {
+  thread_local std::weak_ptr<const core::Grafics> owner;
+  thread_local std::optional<core::InferenceContext> context;
+  if (!context.has_value() || owner.owner_before(model) ||
+      model.owner_before(owner)) {
+    context.emplace(*model);
+    owner = model;
+  }
+  return *context;
+}
+
 }  // namespace
 
-ModelRegistry::ModelRegistry(BatcherConfig batcher)
-    : batcher_config_(batcher) {
-  if (batcher_config_.predict_threads != 1) {
-    pool_ = std::make_unique<ThreadPool>(batcher_config_.predict_threads);
+/// One admitted predict request, shared by its chunk tasks.
+struct ModelRegistry::Request {
+  std::shared_ptr<const core::Grafics> model;  // captured at admission
+  std::vector<rf::SignalRecord> records;
+  PredictCallback done;
+  std::chrono::steady_clock::time_point admitted;
+};
+
+ModelRegistry::ModelRegistry(std::size_t threads, ThreadPool* pool)
+    : pool_(pool) {
+  if (pool_ == nullptr) {
+    owned_pool_ = std::make_unique<ThreadPool>(threads);
+    pool_ = owned_pool_.get();
   }
 }
 
 ModelRegistry::~ModelRegistry() {
-  // Quiesce the scrape hook before anything it walks (entries_, batchers)
-  // starts dying; member destruction order alone does not guarantee that.
+  // Quiesce the scrape hook before anything it walks (entries_) starts
+  // dying; member destruction order alone does not guarantee that.
   obs_hook_.Detach();
   Stop();
 }
@@ -51,8 +88,8 @@ void ModelRegistry::Load(const std::string& name,
   Require(!stopped_, "ModelRegistry::Load after Stop");
   const auto it = entries_.find(name);
   if (it != entries_.end()) {
-    // Hot swap: keep the batcher (and its queue) running across the switch;
-    // in-flight batches finish on the snapshot they started with.
+    // Hot swap: admitted requests finish on the snapshot they captured;
+    // later admissions see the new one.
     Entry& entry = *it->second;
     const MutexLock entry_lock(&entry.mutex);
     entry.model = std::move(model);
@@ -67,46 +104,28 @@ void ModelRegistry::Load(const std::string& name,
           "ModelRegistry::Load: registry full (kMaxModels)");
   auto entry = std::make_shared<Entry>();
   {
-    // Entry not yet published, but the batcher's flusher thread starts below
-    // and its snapshot callback reads these fields under the entry mutex —
-    // initialize under it too so the happens-before edge is the lock, not
-    // the entries_ insertion.
     const MutexLock entry_lock(&entry->mutex);
     entry->model = std::move(model);
     entry->path = std::move(model_path);
     entry->last_source = source;
   }
-  // First load of this name: resolve the per-model telemetry handles into
-  // the batcher's config before construction, so the flusher thread reads
-  // them const and race-free for the batcher's whole life.
-  BatcherConfig batcher_config = batcher_config_;
+  // First load of this name: resolve the per-model telemetry handles before
+  // the entry is published, so workers read them const and race-free.
   if (const std::shared_ptr<obs::Registry> obs = observed()) {
     const obs::Labels labels = {{"model", name}};
-    batcher_config.obs.batch_size = obs->GetHistogram(
-        "grafics_batcher_batch_size",
-        "Records per dispatched micro-batch.",
-        obs::PowerOfTwoBuckets(
-            std::max<std::uint64_t>(batcher_config_.max_batch_size, 1)),
-        labels);
-    batcher_config.obs.queue_wait_us = obs->GetHistogram(
+    entry->obs.task_records = obs->GetHistogram(
+        "grafics_batcher_batch_size", "Records per dispatched predict task.",
+        obs::PowerOfTwoBuckets(kMaxBatchRecords), labels);
+    entry->obs.queue_wait_us = obs->GetHistogram(
         "grafics_batcher_queue_wait_us",
-        "Microseconds a record waited queued before its batch dispatched.",
+        "Microseconds a predict task waited between admission and a worker "
+        "starting it.",
         obs::DefaultLatencyBucketsUs(), labels);
-    batcher_config.obs.predict_us = obs->GetHistogram(
+    entry->obs.predict_us = obs->GetHistogram(
         "grafics_batcher_predict_us",
-        "Microseconds the batch's PredictBatch call took.",
+        "Microseconds a predict task spent predicting its records.",
         obs::DefaultLatencyBucketsUs(), labels);
   }
-  // Raw pointer is safe: the batcher is the entry's last member, so its
-  // destructor joins the flusher thread before the rest of the entry dies.
-  Entry* raw = entry.get();
-  entry->batcher = std::make_unique<MicroBatcher>(
-      batcher_config,
-      [raw] {
-        const MutexLock snapshot_lock(&raw->mutex);
-        return raw->model;
-      },
-      pool_.get());
   entries_.emplace(name, std::move(entry));
   if (default_name_.empty()) default_name_ = name;
 }
@@ -147,8 +166,8 @@ void ModelRegistry::Unload(const std::string& name) {
     entries_.erase(it);
   }
   // Outside the registry lock: draining blocks on in-flight inference, and
-  // the flusher's snapshot callback only takes the entry's own mutex.
-  victim->batcher->Stop();
+  // workers only take the entry's own mutex.
+  Drain(*victim);
 }
 
 std::uint64_t ModelRegistry::ReloadFromDisk(const std::string& name) {
@@ -235,7 +254,6 @@ void ModelRegistry::SyncObs() const {
       snapshot = entry->model;
     }
     const CowBytes memory = snapshot->MemoryBytes();
-    const BatcherStats batcher = entry->batcher->stats();
     obs->GetGauge("grafics_model_generation",
                   "Monotonic per-model publish generation.", labels)
         ->Set(static_cast<std::int64_t>(generation));
@@ -250,27 +268,16 @@ void ModelRegistry::SyncObs() const {
                   labels)
         ->Set(static_cast<std::int64_t>(memory.owned_bytes));
     obs->GetCounter("grafics_batcher_requests_total",
-                    "Records enqueued on the model's micro-batcher.", labels)
-        ->SyncTo(batcher.requests);
+                    "Predict records admitted for the model.", labels)
+        ->SyncTo(entry->requests.load(std::memory_order_relaxed));
     obs->GetCounter("grafics_batcher_batches_total",
-                    "Micro-batches dispatched through PredictBatch.", labels)
-        ->SyncTo(batcher.batches);
+                    "Predict tasks dispatched onto the shared pool.", labels)
+        ->SyncTo(entry->tasks.load(std::memory_order_relaxed));
     obs->GetGauge("grafics_batcher_queue_depth",
-                  "Records enqueued but not yet dispatched.", labels)
-        ->Set(static_cast<std::int64_t>(batcher.queue_depth));
-    const char* const kFlushHelp =
-        "Batch flushes by trigger: queue reached max_batch_size, the "
-        "oldest record's max_delay expired, or Stop() drained the queue.";
-    obs::Labels reason = labels;
-    reason.emplace_back("reason", "max_batch");
-    obs->GetCounter("grafics_batcher_flushes_total", kFlushHelp, reason)
-        ->SyncTo(batcher.flushes_max_batch);
-    reason.back().second = "max_delay";
-    obs->GetCounter("grafics_batcher_flushes_total", kFlushHelp, reason)
-        ->SyncTo(batcher.flushes_max_delay);
-    reason.back().second = "shutdown";
-    obs->GetCounter("grafics_batcher_flushes_total", kFlushHelp, reason)
-        ->SyncTo(batcher.flushes_shutdown);
+                  "Records admitted but not yet started by a worker.",
+                  labels)
+        ->Set(static_cast<std::int64_t>(
+            entry->queued.load(std::memory_order_relaxed)));
   }
 }
 
@@ -305,27 +312,125 @@ std::uint64_t ModelRegistry::ReloadFromStore(const std::string& name,
 
 std::future<std::optional<rf::FloorId>> ModelRegistry::Submit(
     const std::string& name, rf::SignalRecord record) {
-  return Find(name)->batcher->Submit(std::move(record));
+  std::vector<rf::SignalRecord> records;
+  records.push_back(std::move(record));
+  return std::move(SubmitBatch(name, std::move(records)).front());
 }
 
 std::vector<std::future<std::optional<rf::FloorId>>>
 ModelRegistry::SubmitBatch(const std::string& name,
                            std::vector<rf::SignalRecord> records) {
-  const std::shared_ptr<Entry> entry = Find(name);
+  using Promise = std::promise<std::optional<rf::FloorId>>;
+  auto promises = std::make_shared<std::vector<Promise>>(records.size());
   std::vector<std::future<std::optional<rf::FloorId>>> futures;
   futures.reserve(records.size());
-  for (rf::SignalRecord& record : records) {
-    futures.push_back(entry->batcher->Submit(std::move(record)));
-  }
+  for (Promise& promise : *promises) futures.push_back(promise.get_future());
+  if (records.empty()) return futures;
+  TrySubmitBatchAsync(
+      name, std::move(records),
+      [promises](std::size_t i, PredictOutcome outcome) {
+        if (outcome.error.empty()) {
+          (*promises)[i].set_value(outcome.floor);
+        } else {
+          (*promises)[i].set_exception(
+              std::make_exception_ptr(Error(outcome.error)));
+        }
+      },
+      /*max_queue_depth=*/0);
   return futures;
 }
 
 bool ModelRegistry::TrySubmitBatchAsync(const std::string& name,
                                         std::vector<rf::SignalRecord> records,
-                                        MicroBatcher::BatchCallback done,
+                                        PredictCallback done,
                                         std::size_t max_queue_depth) {
-  return Find(name)->batcher->TrySubmitBatchAsync(
-      std::move(records), std::move(done), max_queue_depth);
+  Require(done != nullptr,
+          "ModelRegistry::TrySubmitBatchAsync: callback required");
+  Require(!records.empty(), "ModelRegistry::TrySubmitBatchAsync: empty batch");
+  const std::shared_ptr<Entry> entry = Find(name);
+  const std::size_t count = records.size();
+  auto request = std::make_shared<Request>();
+  {
+    const MutexLock entry_lock(&entry->mutex);
+    Require(!entry->stopped, "ModelRegistry: predict after Stop");
+    // All-or-nothing: partially admitting a pipelined request would answer
+    // some of its records and busy-reject the rest mid-response. Admissions
+    // are serialized by the entry mutex and workers only lower `queued`, so
+    // the check cannot be invalidated before the increment below.
+    if (max_queue_depth > 0 &&
+        entry->queued.load(std::memory_order_relaxed) + count >
+            max_queue_depth) {
+      return false;
+    }
+    entry->queued.fetch_add(count, std::memory_order_relaxed);
+    entry->in_flight += count;
+    request->model = entry->model;
+  }
+  entry->requests.fetch_add(count, std::memory_order_relaxed);
+  request->records = std::move(records);
+  request->done = std::move(done);
+  request->admitted = std::chrono::steady_clock::now();
+  // Split at submit time into one contiguous chunk per worker (sizes differ
+  // by at most one): a task that fanned out from inside a worker would wait
+  // on its own pool.
+  const std::size_t chunks = std::min(count, pool_->num_threads());
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t begin = c * count / chunks;
+    const std::size_t end = (c + 1) * count / chunks;
+    pool_->Submit([entry, request, begin, end]() mutable {
+      RunChunk(*entry, *request, begin, end);
+      // Release the request (and its callback) before reporting completion,
+      // so a drained model holds no caller state.
+      request.reset();
+      const MutexLock entry_lock(&entry->mutex);
+      entry->in_flight -= end - begin;
+      if (entry->in_flight == 0) entry->drained.NotifyAll();
+    });
+  }
+  return true;
+}
+
+void ModelRegistry::RunChunk(Entry& entry, const Request& request,
+                             std::size_t begin, std::size_t end) {
+  const std::size_t count = end - begin;
+  entry.queued.fetch_sub(count, std::memory_order_relaxed);
+  entry.tasks.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t largest = entry.max_task.load(std::memory_order_relaxed);
+  while (count > largest &&
+         !entry.max_task.compare_exchange_weak(largest, count,
+                                               std::memory_order_relaxed)) {
+  }
+  const std::uint64_t queue_wait_us = MicrosSince(request.admitted);
+  if (entry.obs.task_records != nullptr) entry.obs.task_records->Observe(count);
+  if (entry.obs.queue_wait_us != nullptr) {
+    entry.obs.queue_wait_us->Observe(queue_wait_us);
+  }
+  std::vector<std::optional<rf::FloorId>> floors(count);
+  const auto started = std::chrono::steady_clock::now();
+  try {
+    core::InferenceContext& context = WorkerContext(request.model);
+    for (std::size_t i = 0; i < count; ++i) {
+      floors[i] = context.Predict(request.records[begin + i]);
+    }
+  } catch (const std::exception& e) {
+    for (std::size_t i = 0; i < count; ++i) {
+      request.done(begin + i, {std::nullopt, e.what(), queue_wait_us, 0});
+    }
+    return;
+  }
+  const std::uint64_t predict_us = MicrosSince(started);
+  if (entry.obs.predict_us != nullptr) {
+    entry.obs.predict_us->Observe(predict_us);
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    request.done(begin + i, {floors[i], {}, queue_wait_us, predict_us});
+  }
+}
+
+void ModelRegistry::Drain(Entry& entry) {
+  const MutexLock entry_lock(&entry.mutex);
+  entry.stopped = true;
+  while (entry.in_flight > 0) entry.drained.Wait(entry.mutex);
 }
 
 std::vector<ModelInfo> ModelRegistry::List() const {
@@ -343,7 +448,7 @@ std::vector<ModelStats> ModelRegistry::Stats(
     const std::string& name_filter) const {
   // Snapshot the entries under the registry lock, then gather the per-model
   // counters unlocked (like Stop does): an admin stats sweep must not stall
-  // name resolution for predict traffic while it visits every batcher.
+  // name resolution for predict traffic while it visits every model.
   std::vector<std::pair<std::string, std::shared_ptr<Entry>>> entries;
   {
     const MutexLock lock(&mutex_);
@@ -370,11 +475,10 @@ std::vector<ModelStats> ModelRegistry::Stats(
     const CowBytes memory = snapshot->MemoryBytes();
     stats.shared_bytes = memory.shared_bytes;
     stats.owned_bytes = memory.owned_bytes;
-    const BatcherStats batcher = entry->batcher->stats();
-    stats.requests = batcher.requests;
-    stats.batches = batcher.batches;
-    stats.max_batch = batcher.max_batch;
-    stats.queue_depth = batcher.queue_depth;
+    stats.requests = entry->requests.load(std::memory_order_relaxed);
+    stats.batches = entry->tasks.load(std::memory_order_relaxed);
+    stats.max_batch = entry->max_task.load(std::memory_order_relaxed);
+    stats.queue_depth = entry->queued.load(std::memory_order_relaxed);
     {
       // Invoked under probe_mutex_ (but outside every registry/entry
       // lock), so SetIngestDepthProbe(nullptr) is a true quiesce point:
@@ -439,9 +543,7 @@ void ModelRegistry::Stop() {
     entries.reserve(entries_.size());
     for (const auto& [name, entry] : entries_) entries.push_back(entry);
   }
-  for (const std::shared_ptr<Entry>& entry : entries) {
-    entry->batcher->Stop();
-  }
+  for (const std::shared_ptr<Entry>& entry : entries) Drain(*entry);
 }
 
 std::shared_ptr<ModelRegistry::Entry> ModelRegistry::Find(

@@ -1,20 +1,23 @@
 // Named model registry: the serving side of "one daemon, many buildings".
 //
 // Maps model names to hot-swappable std::shared_ptr<const Grafics> snapshots
-// with a per-model generation counter, a per-model MicroBatcher (so one
-// building's traffic coalesces into its own micro-batches and a reload never
-// stalls another building's queue), and per-model serving stats. All
-// batchers share one ThreadPool, so inference parallelism is bounded per
-// process regardless of how many buildings are loaded.
+// with a per-model generation counter and per-model serving stats. Predicts
+// are dispatched straight onto one ThreadPool shared by every model, so
+// inference parallelism is bounded per process regardless of how many
+// buildings are loaded. Each query is an independent snapshot-isolated
+// refinement (no work is shared between queries), so nothing waits for a
+// batch to fill: a request of n records becomes min(n, pool threads)
+// contiguous chunk tasks the moment it is admitted.
 //
 // The registry owns the models; serve::Server is a thin transport that
 // decodes frames and routes them here by name (empty name = the default
-// model). Load/ReloadFromDisk swap a
-// model's snapshot atomically: in-flight batches finish on the snapshot they
-// started with, later batches pick up the new one. Unload drains the model's
-// queue (futures still resolve) and removes it.
+// model). Load/ReloadFromDisk swap a model's snapshot atomically: a request
+// captures the snapshot at admission and finishes on it, later requests pick
+// up the new one. Unload drains the model's admitted requests (futures still
+// resolve) and removes it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -29,7 +32,6 @@
 #include "core/grafics.h"
 #include "obs/metrics.h"
 #include "rf/signal_record.h"
-#include "serve/batcher.h"
 #include "serve/protocol.h"
 
 namespace grafics::store {
@@ -38,12 +40,28 @@ class ModelStore;
 
 namespace grafics::serve {
 
+/// One record's completion, delivered to a TrySubmitBatchAsync callback from
+/// a pool worker. `error` empty means the record was served: floor carries
+/// the prediction, nullopt = discarded (no MAC overlap).
+struct PredictOutcome {
+  std::optional<rf::FloorId> floor;
+  std::string error;
+  /// Time the record's chunk task waited between admission and a worker
+  /// picking it up, and how long the chunk's predictions took — carried
+  /// back so the server's slow-request trace can attribute latency without
+  /// re-measuring.
+  std::uint64_t queue_wait_us = 0;
+  std::uint64_t predict_us = 0;
+};
+
 class ModelRegistry {
  public:
-  /// `batcher` configures every per-model MicroBatcher; its predict_threads
-  /// sizes the one shared ThreadPool (0 = hardware_concurrency, 1 = serial
-  /// dispatch on each model's flusher thread).
-  explicit ModelRegistry(BatcherConfig batcher = {});
+  using PredictCallback = std::function<void(std::size_t, PredictOutcome)>;
+
+  /// Predicts run on one ThreadPool shared by every model: an owned pool of
+  /// `threads` workers (0 = hardware_concurrency), or `pool` when non-null
+  /// (which then must outlive the registry).
+  explicit ModelRegistry(std::size_t threads = 1, ThreadPool* pool = nullptr);
   ~ModelRegistry();
 
   ModelRegistry(const ModelRegistry&) = delete;
@@ -68,8 +86,8 @@ class ModelRegistry {
   /// delta checkpoints chain onto it. Kept as the single file-path entry
   /// point for the daemon and tests.
   void LoadFromDisk(const std::string& name, const std::string& model_path);
-  /// Drains the model's pending requests (their futures still resolve), then
-  /// removes it. The default model cannot be unloaded.
+  /// Drains the model's admitted requests (their futures still resolve),
+  /// then removes it. The default model cannot be unloaded.
   void Unload(const std::string& name);
   /// Re-loads `name` (empty = default) and swaps it in, returning the new
   /// generation. Without an attached store this reads the recorded artifact
@@ -87,11 +105,11 @@ class ModelRegistry {
   std::shared_ptr<store::ModelStore> store() const;
 
   /// Attaches the telemetry registry. Per-model gauges and counters
-  /// (generation, snapshot bytes, batcher totals, queue depth, flush
-  /// reasons) are synced by a collection hook at every scrape; the batcher
-  /// latency/size histograms are resolved per model at Load time, so attach
-  /// before loading models — models loaded earlier keep serving but record
-  /// no distributions. Detached automatically (quiescently) on destruction.
+  /// (generation, snapshot bytes, dispatch totals, queue depth) are synced
+  /// by a collection hook at every scrape; the per-task latency/size
+  /// histograms are resolved per model at Load time, so attach before
+  /// loading models — models loaded earlier keep serving but record no
+  /// distributions. Detached automatically (quiescently) on destruction.
   void AttachObs(std::shared_ptr<obs::Registry> obs);
 
   /// Load(name, store->Open(name, generation)): installs a store generation
@@ -103,26 +121,26 @@ class ModelRegistry {
   std::uint64_t ReloadFromStore(const std::string& name,
                                 std::uint64_t generation = 0);
 
-  /// Enqueues one record on the named model's batcher (empty = default).
-  /// Throws grafics::Error for unknown names and after Stop(); the caller
-  /// turns that into a per-record error status, not a dropped connection.
+  /// Predicts one record on the named model (empty = default). Throws
+  /// grafics::Error for unknown names and after Stop(); the caller turns
+  /// that into a per-record error status, not a dropped connection.
   std::future<std::optional<rf::FloorId>> Submit(const std::string& name,
                                                  rf::SignalRecord record);
-  /// Submit for a whole request batch: resolves the name through the
-  /// registry lock once, then enqueues every record on that model's
-  /// batcher — the hot path for v2 batched predicts.
+  /// Submit for a whole request batch: resolves the name and admits every
+  /// record at once, returning per-record futures in order.
   std::vector<std::future<std::optional<rf::FloorId>>> SubmitBatch(
       const std::string& name, std::vector<rf::SignalRecord> records);
   /// Admission-controlled completion-callback SubmitBatch for the event
-  /// loop: enqueues every record or none. Returns false without invoking
-  /// anything when `max_queue_depth` > 0 and the model's queue would exceed
-  /// it; the transport turns that into a structured busy error. On success
-  /// `done(i, outcome)` runs once per record from the model's flusher
-  /// thread. Throws for unknown names and after Stop(), like Submit.
+  /// loop: admits every record or none. Returns false without invoking
+  /// anything when `max_queue_depth` > 0 and the model's admitted-but-not-
+  /// started records would exceed it; the transport turns that into a
+  /// structured busy error. On success `done(i, outcome)` runs once per
+  /// record from a pool worker, so it must be cheap, must not throw, and
+  /// must not wait on other predicts (they may be queued behind it). Throws
+  /// for unknown names and after Stop(), like Submit.
   bool TrySubmitBatchAsync(const std::string& name,
                            std::vector<rf::SignalRecord> records,
-                           MicroBatcher::BatchCallback done,
-                           std::size_t max_queue_depth);
+                           PredictCallback done, std::size_t max_queue_depth);
 
   /// Name/generation/reloadable for every model, sorted by name.
   std::vector<ModelInfo> List() const;
@@ -151,24 +169,51 @@ class ModelRegistry {
   void SetIngestDepthProbe(
       std::function<std::uint64_t(const std::string&)> probe);
 
-  /// Drains every model's batcher and rejects further Submits/Loads.
-  /// Idempotent; also run by the destructor. Stats stay readable.
+  /// Drains every model's admitted requests and rejects further
+  /// Submits/Loads. Idempotent; also run by the destructor. Stats stay
+  /// readable.
   void Stop();
 
  private:
+  /// Per-model distributions, observed from pool workers; any pointer may
+  /// be null (that instrument is simply not recorded).
+  struct DispatchObs {
+    obs::Histogram* task_records = nullptr;
+    obs::Histogram* queue_wait_us = nullptr;
+    obs::Histogram* predict_us = nullptr;
+  };
+
   struct Entry {
     mutable Mutex mutex;
+    CondVar drained;
     std::shared_ptr<const core::Grafics> model GRAFICS_GUARDED_BY(mutex);
     std::uint64_t generation GRAFICS_GUARDED_BY(mutex) = 1;
     std::string path GRAFICS_GUARDED_BY(mutex);
     PublishSource last_source GRAFICS_GUARDED_BY(mutex) =
         PublishSource::kDisk;
+    bool stopped GRAFICS_GUARDED_BY(mutex) = false;
+    /// Admitted records whose callbacks have not all run yet; Unload and
+    /// Stop wait for it to reach zero.
+    std::uint64_t in_flight GRAFICS_GUARDED_BY(mutex) = 0;
+    /// Admitted records no worker has started: the queue depth that
+    /// admission control compares against. Raised under `mutex` at
+    /// admission, lowered lock-free by workers.
+    std::atomic<std::uint64_t> queued{0};
+    /// Lifetime totals: records admitted, chunk tasks run, largest task.
+    std::atomic<std::uint64_t> requests{0};
+    std::atomic<std::uint64_t> tasks{0};
+    std::atomic<std::uint64_t> max_task{0};
     // Unguarded by design: set once before the entry is published into
-    // entries_ and immutable from then on. Last member: its destructor joins
-    // the flusher thread before the rest of the entry goes away, so the
-    // snapshot callback's raw Entry* is safe.
-    std::unique_ptr<MicroBatcher> batcher;
+    // entries_ and immutable from then on.
+    DispatchObs obs;
   };
+
+  struct Request;
+  /// Runs records [begin, end) of `request` on the calling pool worker.
+  static void RunChunk(Entry& entry, const Request& request,
+                       std::size_t begin, std::size_t end);
+  /// Blocks until every record admitted to `entry` has completed.
+  static void Drain(Entry& entry);
 
   /// Resolves empty → default and looks the entry up. Callers hold the
   /// returned shared_ptr, so a concurrent Unload cannot free it mid-use.
@@ -181,8 +226,7 @@ class ModelRegistry {
   std::shared_ptr<obs::Registry> observed() const
       GRAFICS_EXCLUDES(obs_mutex_);
 
-  const BatcherConfig batcher_config_;
-  std::unique_ptr<ThreadPool> pool_;  // null when predict_threads == 1
+  ThreadPool* pool_;  // the owned pool or the caller's
 
   mutable Mutex store_mutex_;  // probes never touch it
   std::shared_ptr<store::ModelStore> store_ GRAFICS_GUARDED_BY(store_mutex_);
@@ -200,6 +244,10 @@ class ModelRegistry {
   mutable Mutex probe_mutex_;  // separate: probes run outside mutex_
   std::function<std::uint64_t(const std::string&)> ingest_depth_probe_
       GRAFICS_GUARDED_BY(probe_mutex_);
+
+  // Last member: destroyed first, so its workers are joined before anything
+  // a finishing task could still touch goes away.
+  std::unique_ptr<ThreadPool> owned_pool_;
 };
 
 }  // namespace grafics::serve

@@ -27,8 +27,8 @@ namespace grafics::serve {
 namespace {
 
 void SetNoDelay(int fd) {
-  // Micro-batching already trades latency deliberately; don't let Nagle add
-  // an uncontrolled 40ms on top of the configured max_delay.
+  // Replies are small, latency-bound frames; don't let Nagle hold one back
+  // for up to 40ms waiting to coalesce it with the next.
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
@@ -178,7 +178,7 @@ void Server::Start() {
 void Server::Stop() {
   if (!started_ || stopping_.exchange(true)) return;
   // Wake the accept loop first so no new connections reach the event loop,
-  // then stop the loop (disconnecting clients; late batcher completions
+  // then stop the loop (disconnecting clients; late predict completions
   // become no-ops), then drain the ops pool. The registry keeps running; it
   // is stopped by its owner, not the transport.
   ::shutdown(listen_fd_, SHUT_RDWR);
@@ -300,17 +300,17 @@ void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
     return;
   }
   // Shared across the per-record completions; the last one to finish
-  // encodes and sends the response. The callbacks run on the model's
-  // flusher thread, so they only fill slots — no blocking, no encoding
-  // until the batch is complete.
+  // encodes and sends the response. The callbacks run on the registry's
+  // pool workers (a request may be split across several), so they only
+  // fill slots — no blocking, no encoding until the request is complete.
   struct PendingPredict {
     PredictResponse response;
     std::atomic<std::size_t> remaining{0};
     EventLoop::Completion done;
     // Slow-request tracing, null/zero when disabled. Completions may
-    // outlive the Server (the registry's flusher threads are stopped by
-    // its owner, later), so everything the logging path touches is held
-    // here — the obs shared_ptr pins the counter — not read off `this`.
+    // outlive the Server (the registry is drained by its owner, later), so
+    // everything the logging path touches is held here — the obs
+    // shared_ptr pins the counter — not read off `this`.
     std::shared_ptr<obs::Trace> trace;
     std::string model;
     std::uint64_t slow_threshold_us = 0;
@@ -330,8 +330,9 @@ void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
     pending->obs = obs_;
   }
   try {
-    // The flusher's completions happen-after this stamp via the batcher
-    // mutex, so the trace is never touched from two threads at once.
+    // Completions happen-after this stamp via the pool's queue mutex, and
+    // only the last one touches the trace (after the acq_rel countdown), so
+    // it is never touched from two threads at once.
     if (pending->trace != nullptr) pending->trace->Stamp("enqueued");
     const bool admitted = registry_->TrySubmitBatchAsync(
         request.model, std::move(request.records),
@@ -352,8 +353,8 @@ void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
               1) {
             if (pending->trace != nullptr) {
               // The last record's attribution stands in for the request:
-              // with one batch per request (the common case) every record
-              // shares the same predict time anyway.
+              // its chunk finished last, so its wait plus predict time is
+              // the request's admission-to-answer time.
               pending->trace->Note("queue_wait", queue_wait_us);
               pending->trace->Note("predict", predict_us);
             }

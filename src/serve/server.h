@@ -3,10 +3,10 @@
 //
 // One accept-loop thread hands each connection to the nonblocking epoll
 // EventLoop (a fixed pool of worker threads; see event_loop.h). Workers
-// never block: predicts are submitted to the registry's per-model
-// MicroBatchers through completion callbacks, blocking admin work (reload
-// disk loads, ingest journal fsyncs) runs on a small ops pool, and the
-// cheap admin queries are answered inline. A client may pipeline many
+// never block: predicts are handed to the registry, which runs them on its
+// shared pool and completes them through callbacks; blocking admin work
+// (reload disk loads, ingest journal fsyncs) runs on a small ops pool; and
+// the cheap admin queries are answered inline. A client may pipeline many
 // requests on one connection; replies always come back in request order.
 //
 // Admission control keeps an overloaded daemon answering instead of
@@ -63,8 +63,8 @@ struct ServerConfig {
   /// Busy-reject a predict once its connection has this many unanswered
   /// requests (including itself); zero = unlimited pipelining.
   std::size_t max_inflight_per_connection = 64;
-  /// Busy-reject a predict when its model's batcher queue would exceed
-  /// this many pending records; zero = unbounded.
+  /// Busy-reject a predict when its model's admitted-but-not-started
+  /// records would exceed this many; zero = unbounded.
   std::size_t max_queue_depth = 0;
   /// Threads for blocking admin work (reload disk loads, ingest journal
   /// fsyncs) so event workers never stall on them.
@@ -109,9 +109,9 @@ class Server {
   /// Binds, listens, and spawns the accept loop + event workers. Throws
   /// grafics::Error when the address is unusable.
   void Start();
-  /// Stops accepting and disconnects clients; in-flight batcher
-  /// completions become no-ops. The registry (and its batchers) is the
-  /// caller's to stop. Idempotent.
+  /// Stops accepting and disconnects clients; in-flight predict
+  /// completions become no-ops. The registry (and its pool) is the caller's
+  /// to stop. Idempotent.
   void Stop();
 
   /// Bound port (resolves port 0 after Start).

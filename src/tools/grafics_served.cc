@@ -1,15 +1,15 @@
 // grafics_served — the GRAFICS network serving daemon.
 //
 // Loads one or many SaveModel artifacts into a named model registry and
-// answers floor queries over the TCP protocol of serve/protocol.h,
-// coalescing concurrent requests into per-model dynamic micro-batches
-// served through the snapshot-isolated PredictBatch path. One daemon, many
+// answers floor queries over the TCP protocol of serve/protocol.h. Each
+// predict runs as soon as it is admitted, as snapshot-isolated inference
+// tasks on one worker pool shared by every model. One daemon, many
 // buildings: clients route by model name, and unnamed requests go to the
 // default model.
 //
 //   grafics_served [<model.bin>] [--model NAME=PATH]... [--default NAME]
-//                  [--host A] [--port P] [--max-batch N] [--max-delay-ms M]
-//                  [--threads T] [--event-workers W] [--idle-timeout-ms I]
+//                  [--host A] [--port P] [--threads T] [--event-workers W]
+//                  [--idle-timeout-ms I]
 //                  [--max-inflight N] [--max-queue-depth N] [--port-file F]
 //                  [--journal-dir D] [--ingest-batch N]
 //                  [--ingest-max-delay-ms M] [--ingest-max-pending N]
@@ -25,9 +25,8 @@
 //                     loaded model)
 //   --host A          bind address            (default 127.0.0.1)
 //   --port P          TCP port; 0 = ephemeral (default 4817)
-//   --max-batch N     flush a batch at N pending requests (default 64)
-//   --max-delay-ms M  flush after the oldest request waited M ms (default 2)
-//   --threads T       PredictBatch workers shared by all models; 0 = cores
+//   --threads T       predict workers shared by all models; 0 = cores
+//                     (default 1)
 //   --event-workers W epoll worker threads of the event-driven transport;
 //                     each owns a share of the connections (default 2)
 //   --idle-timeout-ms I  close connections with no unanswered requests
@@ -37,9 +36,9 @@
 //   --max-inflight N  busy-reject predicts once a connection has N
 //                     unanswered pipelined requests; 0 = unlimited
 //                     (default 64)
-//   --max-queue-depth N  busy-reject predicts when a model's batcher queue
-//                     would exceed N pending records; 0 = unbounded
-//                     (default 0)
+//   --max-queue-depth N  busy-reject predicts when a model's admitted records
+//                     that no worker has started would exceed N;
+//                     0 = unbounded (default 0)
 //   --port-file F     write the bound port to F once listening (for
 //                     scripts/CI that start on an ephemeral port)
 //   --journal-dir D   enable online ingestion: every model gets a durable
@@ -78,9 +77,11 @@
 //                     error — an operator pinning a fleet wants to know.
 //                     The active backend is exported as the info-gauge
 //                     grafics_simd_backend and logged at startup.
+//   --max-batch N, --max-delay-ms M  accepted and ignored, with a warning
+//                     on stderr (predicts no longer wait to be batched)
 //
 // SIGHUP hot-reloads every model from its artifact path, one by one: new
-// batches move to each fresh snapshot atomically while in-flight batches
+// predicts move to each fresh snapshot atomically while in-flight ones
 // finish on the old one, and other models keep serving throughout. Clients
 // can reload one model remotely (`grafics remote-reload --model NAME`).
 // SIGINT/SIGTERM drain and exit: the listener stops first, then the ingest
@@ -92,6 +93,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -152,8 +154,7 @@ int Usage() {
       stderr,
       "usage: grafics_served [<model.bin>] [--model NAME=PATH]... "
       "[--default NAME]\n"
-      "                      [--host A] [--port P] [--max-batch N]\n"
-      "                      [--max-delay-ms M] [--threads T] "
+      "                      [--host A] [--port P] [--threads T] "
       "[--event-workers W]\n"
       "                      [--idle-timeout-ms I] [--max-inflight N]\n"
       "                      [--max-queue-depth N] [--port-file F]\n"
@@ -251,13 +252,21 @@ int main(int argc, char** argv) {
     config.max_queue_depth = static_cast<std::size_t>(ParseUnsigned(
         FlagValue(args, "--max-queue-depth", "0"), 1 << 24,
         "--max-queue-depth"));
-    serve::BatcherConfig batcher;
-    batcher.max_batch_size = static_cast<std::size_t>(ParseUnsigned(
-        FlagValue(args, "--max-batch", "64"), 1 << 20, "--max-batch"));
-    batcher.max_delay = std::chrono::milliseconds(ParseUnsigned(
-        FlagValue(args, "--max-delay-ms", "2"), 60000, "--max-delay-ms"));
-    batcher.predict_threads = static_cast<std::size_t>(ParseUnsigned(
+    const auto predict_threads = static_cast<std::size_t>(ParseUnsigned(
         FlagValue(args, "--threads", "1"), 4096, "--threads"));
+    std::string ignored_flags;
+    for (const char* retired : {"--max-batch", "--max-delay-ms"}) {
+      if (std::find(args.begin(), args.end(), retired) == args.end()) continue;
+      ignored_flags += (ignored_flags.empty() ? "" : " and ");
+      ignored_flags += retired;
+    }
+    if (!ignored_flags.empty()) {
+      std::fprintf(stderr,
+                   "grafics_served: warning: %s ignored: predicts are "
+                   "dispatched without batching; the flag(s) will be "
+                   "removed\n",
+                   ignored_flags.c_str());
+    }
     const std::string port_file = FlagValue(args, "--port-file", "");
     ingest::IngestConfig ingest_config;
     ingest_config.journal_dir = FlagValue(args, "--journal-dir", "");
@@ -325,7 +334,7 @@ int main(int argc, char** argv) {
                    "label carries scalar|avx2|neon)",
                    {{"backend", simd::BackendName(simd_backend)}})
         ->Set(1);
-    auto registry = std::make_shared<serve::ModelRegistry>(batcher);
+    auto registry = std::make_shared<serve::ModelRegistry>(predict_threads);
     registry->AttachObs(obs_registry);
     ingest_config.obs = obs_registry;
     std::shared_ptr<store::ModelStore> model_store;
@@ -461,8 +470,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     transport.requests_rejected_busy));
     for (const serve::ModelStats& stats : registry->Stats()) {
-      std::printf("  model %-24s gen %llu: %llu request(s) in %llu "
-                  "batch(es), largest %llu\n",
+      std::printf("  model %-24s gen %llu: %llu record(s) in %llu "
+                  "task(s), largest %llu\n",
                   stats.name.c_str(),
                   static_cast<unsigned long long>(stats.generation),
                   static_cast<unsigned long long>(stats.requests),

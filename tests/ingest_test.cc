@@ -185,10 +185,7 @@ const Fixture& SharedFixture() {
 }
 
 std::shared_ptr<serve::ModelRegistry> MakeRegistry(const Fixture& f) {
-  serve::BatcherConfig batcher;
-  batcher.max_batch_size = 8;
-  batcher.max_delay = 2ms;
-  auto registry = std::make_shared<serve::ModelRegistry>(batcher);
+  auto registry = std::make_shared<serve::ModelRegistry>();
   registry->Load("campus",
                  std::make_shared<const core::Grafics>(f.base.Clone()));
   return registry;
@@ -570,10 +567,7 @@ TEST(IngestCompactionTest, CompactNowWritesABaseAndRestartSkipsTheReplay) {
   // generation (base, no journal replay) and attach the epoch-1 journal.
   {
     auto store = std::make_shared<store::ModelStore>(store_dir);
-    serve::BatcherConfig batcher;
-    batcher.max_batch_size = 8;
-    batcher.max_delay = 2ms;
-    auto registry = std::make_shared<serve::ModelRegistry>(batcher);
+    auto registry = std::make_shared<serve::ModelRegistry>();
     registry->AttachStore(store);
     registry->LoadFromStore("campus");
     config.model_store = store;

@@ -1,7 +1,7 @@
 // Tests for the named model registry: load/unload/list lifecycle, default
 // resolution, per-model generations and stats, routing submits to the right
-// per-model batcher, and hot-reload from disk that leaves other models'
-// queues untouched.
+// model, pool dispatch that is bit-identical for every pool size and picks
+// up hot swaps, and hot-reload from disk that leaves other models untouched.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "core/grafics.h"
 #include "serve/model_registry.h"
 #include "synth/presets.h"
@@ -59,13 +60,6 @@ const Fixture& ModelB() {
   return fixture;
 }
 
-BatcherConfig QuickBatcherConfig() {
-  BatcherConfig config;
-  config.max_batch_size = 8;
-  config.max_delay = 2ms;
-  return config;
-}
-
 std::optional<rf::FloorId> GetWithin(
     std::future<std::optional<rf::FloorId>>&& future) {
   if (future.wait_for(30s) != std::future_status::ready) {
@@ -76,7 +70,7 @@ std::optional<rf::FloorId> GetWithin(
 }
 
 TEST(ModelRegistryTest, LoadListAndDefaultLifecycle) {
-  ModelRegistry registry(QuickBatcherConfig());
+  ModelRegistry registry;
   EXPECT_EQ(registry.size(), 0u);
   EXPECT_EQ(registry.default_model(), "");
   registry.Load("alpha", ModelA().model);
@@ -99,7 +93,7 @@ TEST(ModelRegistryTest, LoadListAndDefaultLifecycle) {
 }
 
 TEST(ModelRegistryTest, ValidatesNamesAndModels) {
-  ModelRegistry registry(QuickBatcherConfig());
+  ModelRegistry registry;
   EXPECT_THROW(registry.Load("", ModelA().model), Error);
   EXPECT_THROW(registry.Load("has space", ModelA().model), Error);
   EXPECT_THROW(registry.Load("has=equals", ModelA().model), Error);
@@ -119,7 +113,7 @@ TEST(ModelRegistryTest, ValidatesNamesAndModels) {
 TEST(ModelRegistryTest, SubmitRoutesByNameAndResolvesDefault) {
   const Fixture& a = ModelA();
   const Fixture& b = ModelB();
-  ModelRegistry registry(QuickBatcherConfig());
+  ModelRegistry registry;
   registry.Load("alpha", a.model);
   registry.Load("beta", b.model);
   for (std::size_t i = 0; i < 6; ++i) {
@@ -155,7 +149,7 @@ TEST(ModelRegistryTest, SubmitRoutesByNameAndResolvesDefault) {
 TEST(ModelRegistryTest, ReloadingLoadBumpsGenerationAndSwapsSnapshot) {
   const Fixture& a = ModelA();
   const Fixture& b = ModelB();
-  ModelRegistry registry(QuickBatcherConfig());
+  ModelRegistry registry;
   registry.Load("alpha", a.model);
   EXPECT_EQ(registry.generation("alpha"), 1u);
   EXPECT_EQ(registry.Snapshot("alpha"), a.model);
@@ -171,7 +165,7 @@ TEST(ModelRegistryTest, ReloadingLoadBumpsGenerationAndSwapsSnapshot) {
 TEST(ModelRegistryTest, UnloadDrainsAndRemovesButProtectsDefault) {
   const Fixture& a = ModelA();
   const Fixture& b = ModelB();
-  ModelRegistry registry(QuickBatcherConfig());
+  ModelRegistry registry;
   registry.Load("alpha", a.model);
   registry.Load("beta", b.model);
 
@@ -193,7 +187,7 @@ TEST(ModelRegistryTest, ReloadFromDiskSwapsOnlyTheNamedModel) {
   const std::string path =
       testing::TempDir() + "model_registry_test_model.bin";
   a.model->SaveModel(path);
-  ModelRegistry registry(QuickBatcherConfig());
+  ModelRegistry registry;
   registry.LoadFromDisk("alpha", path);
   registry.Load("beta", b.model);
   EXPECT_TRUE(registry.List()[0].reloadable);
@@ -219,7 +213,7 @@ TEST(ModelRegistryTest, ReloadFromDiskSwapsOnlyTheNamedModel) {
 
 TEST(ModelRegistryTest, StopDrainsEveryModelAndRejectsFurtherWork) {
   const Fixture& a = ModelA();
-  ModelRegistry registry(QuickBatcherConfig());
+  ModelRegistry registry;
   registry.Load("alpha", a.model);
   auto pending = registry.Submit("alpha", a.queries[0]);
   registry.Stop();
@@ -230,6 +224,55 @@ TEST(ModelRegistryTest, StopDrainsEveryModelAndRejectsFurtherWork) {
   // Stats stay readable for the shutdown report.
   ASSERT_EQ(registry.Stats().size(), 1u);
   EXPECT_EQ(registry.Stats()[0].requests, 1u);
+}
+
+TEST(ModelRegistryTest, SplitsARequestAcrossThePoolBitIdentically) {
+  const Fixture& a = ModelA();
+  const std::size_t n = std::min<std::size_t>(a.queries.size(), 10);
+  const std::vector<rf::SignalRecord> queries(a.queries.begin(),
+                                              a.queries.begin() + n);
+  for (const std::size_t threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    ModelRegistry registry(1, &pool);
+    registry.Load("alpha", a.model);
+    auto futures = registry.SubmitBatch("alpha", queries);
+    ASSERT_EQ(futures.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(GetWithin(std::move(futures[i])), a.reference[i])
+          << "threads " << threads << " record " << i;
+    }
+    // One contiguous chunk task per worker.
+    const ModelStats stats = registry.Stats("alpha")[0];
+    EXPECT_EQ(stats.requests, n);
+    EXPECT_EQ(stats.batches, threads);
+    EXPECT_EQ(stats.max_batch, (n + threads - 1) / threads);
+    EXPECT_EQ(stats.queue_depth, 0u);
+  }
+}
+
+TEST(ModelRegistryTest, WorkerContextFollowsAHotSwap) {
+  const Fixture& a = ModelA();
+  const Fixture& b = ModelB();
+  // One worker, so both predicts run on the thread whose cached inference
+  // context must notice the swap. Each snapshot is a fresh allocation that
+  // dies with its swap, so a later snapshot may reuse a freed one's
+  // address: the cache must key on ownership, not on the pointer.
+  ThreadPool pool(1);
+  ModelRegistry registry(1, &pool);
+  registry.Load("alpha",
+                std::make_shared<const core::Grafics>(a.model->Clone()));
+  EXPECT_EQ(GetWithin(registry.Submit("alpha", a.queries[0])),
+            a.reference[0]);
+  for (int swap = 0; swap < 4; ++swap) {
+    const Fixture& next = swap % 2 == 0 ? b : a;
+    registry.Load("alpha",
+                  std::make_shared<const core::Grafics>(next.model->Clone()));
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(GetWithin(registry.Submit("alpha", next.queries[i])),
+                next.reference[i])
+          << "swap " << swap << " record " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "cluster/centroid_classifier.h"
+#include "common/alias_sampler.h"
+#include "common/cow_serialize.h"
 #include "common/serialize.h"
 #include "core/grafics.h"
 #include "embed/embedding_store.h"
@@ -67,6 +69,38 @@ TEST(SerializeTest, HostileMatrixShapeThrowsBeforeAllocating) {
     WriteU64(stream, side);
     WriteU64(stream, side);
     EXPECT_THROW(ReadMatrix(stream), Error) << side;
+  }
+}
+
+TEST(SerializeTest, HostileAliasSamplerCountThrowsBeforeAllocating) {
+  for (const std::uint64_t n : {1ULL << 62, 1ULL << 45}) {
+    std::stringstream stream;
+    WriteU64(stream, n);
+    WriteDouble(stream, 1.0);
+    EXPECT_THROW(AliasSampler::Load(stream), Error) << n;
+  }
+}
+
+TEST(SerializeTest, HostileCowDeltaSizeThrowsBeforeAllocating) {
+  // A delta's declared size grows the chunk table before any chunk record
+  // is read; a size the stream cannot populate must be an Error.
+  for (const std::uint64_t size : {1ULL << 63, 1ULL << 50}) {
+    std::stringstream vector_stream;
+    WriteU64(vector_stream, size);
+    WriteU32(vector_stream, 0);
+    CowVector<int> vector;
+    EXPECT_THROW(ApplyCowVectorDelta(vector_stream, vector,
+                                     [](std::istream& in) {
+                                       return ReadI32(in);
+                                     }),
+                 Error)
+        << size;
+
+    std::stringstream matrix_stream;
+    WriteU64(matrix_stream, size);
+    WriteU32(matrix_stream, 0);
+    CowMatrix matrix(4);
+    EXPECT_THROW(ApplyCowMatrixDelta(matrix_stream, matrix), Error) << size;
   }
 }
 

@@ -1,12 +1,13 @@
 // Tests for the serving daemon: the TCP server/client loop against the
 // in-process reference, named-model routing through the ModelRegistry,
 // rejection of every dialect but v7 over a real socket, per-model hot-reload
-// isolation (a reload racing another model's in-flight batches is what the
-// CI ThreadSanitizer job is there to check), micro-batch coalescing, and
-// the ingest surface: submitted records folded in the background while
-// concurrent predictions stay bit-identical to a published snapshot. The
-// telemetry section at the bottom scrapes GET /metrics over a real socket
-// and cross-checks the exposition against the StatsResponse wire surface.
+// isolation (a reload racing another model's in-flight predicts is what the
+// CI ThreadSanitizer job is there to check), admission control against a
+// busy predict pool, and the ingest surface: submitted records folded in
+// the background while concurrent predictions stay bit-identical to a
+// published snapshot. The telemetry section at the bottom scrapes GET
+// /metrics over a real socket and cross-checks the exposition against the
+// StatsResponse wire surface.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -24,11 +25,11 @@
 #include <vector>
 
 #include "common/serialize.h"
+#include "common/thread_pool.h"
 #include "core/grafics.h"
 #include "ingest/ingest_pipeline.h"
 #include "obs/admin_server.h"
 #include "obs/metrics.h"
-#include "serve/batcher.h"
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
@@ -84,128 +85,44 @@ const Fixture& ModelB() {
   return fixture;
 }
 
-MicroBatcher::SnapshotFn SnapshotOf(const Fixture& fixture) {
-  return [&fixture] { return fixture.model; };
-}
+/// Occupies every worker of `pool` until released (at the latest on
+/// destruction): predicts admitted meanwhile stay queued — admitted but not
+/// started — which is how these tests hold requests in the queue.
+class PoolLatch {
+ public:
+  explicit PoolLatch(ThreadPool& pool) {
+    for (std::size_t i = 0; i < pool.num_threads(); ++i) {
+      pool.Submit([gate = gate_] { gate.wait(); });
+    }
+  }
+  ~PoolLatch() { Release(); }
 
-std::optional<rf::FloorId> GetWithin(
-    std::future<std::optional<rf::FloorId>>& future,
-    std::chrono::seconds timeout = 30s) {
-  if (future.wait_for(timeout) != std::future_status::ready) {
-    ADD_FAILURE() << "batcher future not ready within " << timeout.count()
-                  << "s";
-    return std::nullopt;
+  void Release() {
+    if (!released_) open_.set_value();
+    released_ = true;
   }
-  return future.get();
-}
 
-TEST(MicroBatcherTest, FlushesWhenBatchFills) {
-  const Fixture& f = ModelA();
-  BatcherConfig config;
-  config.max_batch_size = 4;
-  config.max_delay = 60s;  // flushing must come from the size trigger
-  MicroBatcher batcher(config, SnapshotOf(f));
-  std::vector<std::future<std::optional<rf::FloorId>>> futures;
-  for (std::size_t i = 0; i < 4; ++i) {
-    futures.push_back(batcher.Submit(f.queries[i]));
-  }
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(GetWithin(futures[i]), f.reference[i]) << i;
-  }
-  const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, 4u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.max_batch, 4u);
-  EXPECT_EQ(stats.queue_depth, 0u);
-}
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> gate_ = open_.get_future().share();
+  bool released_ = false;
+};
 
-TEST(MicroBatcherTest, FlushesOnDelayWhenBatchStaysSmall) {
-  const Fixture& f = ModelA();
-  BatcherConfig config;
-  config.max_batch_size = 100;
-  config.max_delay = 20ms;
-  MicroBatcher batcher(config, SnapshotOf(f));
-  std::vector<std::future<std::optional<rf::FloorId>>> futures;
-  for (std::size_t i = 0; i < 3; ++i) {
-    futures.push_back(batcher.Submit(f.queries[i]));
+/// Polls `done` every millisecond for up to 30s.
+template <class Predicate>
+bool WaitFor(Predicate done) {
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
   }
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(GetWithin(futures[i]), f.reference[i]) << i;
-  }
-  const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_GE(stats.batches, 1u);
-}
-
-TEST(MicroBatcherTest, StopDrainsPendingRequests) {
-  const Fixture& f = ModelA();
-  BatcherConfig config;
-  config.max_batch_size = 100;
-  config.max_delay = 60s;  // only Stop() can trigger the flush
-  MicroBatcher batcher(config, SnapshotOf(f));
-  auto first = batcher.Submit(f.queries[0]);
-  auto second = batcher.Submit(f.queries[1]);
-  EXPECT_EQ(batcher.stats().queue_depth, 2u);
-  batcher.Stop();
-  EXPECT_EQ(GetWithin(first), f.reference[0]);
-  EXPECT_EQ(GetWithin(second), f.reference[1]);
-  EXPECT_THROW(batcher.Submit(f.queries[2]), Error);
-}
-
-TEST(MicroBatcherTest, ParallelDispatchMatchesReference) {
-  const Fixture& f = ModelA();
-  BatcherConfig config;
-  config.max_batch_size = 8;
-  config.max_delay = 5ms;
-  config.predict_threads = 3;  // PredictBatch fan-out inside each flush
-  MicroBatcher batcher(config, SnapshotOf(f));
-  const std::size_t n = std::min<std::size_t>(f.queries.size(), 24);
-  std::vector<std::future<std::optional<rf::FloorId>>> futures;
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(batcher.Submit(f.queries[i]));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(GetWithin(futures[i]), f.reference[i]) << i;
-  }
-}
-
-TEST(MicroBatcherTest, SharedPoolDispatchMatchesReference) {
-  const Fixture& f = ModelA();
-  ThreadPool pool(3);
-  BatcherConfig config;
-  config.max_batch_size = 8;
-  config.max_delay = 5ms;
-  MicroBatcher batcher(config, SnapshotOf(f), &pool);
-  const std::size_t n = std::min<std::size_t>(f.queries.size(), 16);
-  std::vector<std::future<std::optional<rf::FloorId>>> futures;
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(batcher.Submit(f.queries[i]));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(GetWithin(futures[i]), f.reference[i]) << i;
-  }
-}
-
-TEST(MicroBatcherTest, SurfacesSnapshotFailureThroughFutures) {
-  BatcherConfig config;
-  config.max_delay = 1ms;
-  MicroBatcher batcher(config, [] { return MicroBatcher::Snapshot(); });
-  auto future = batcher.Submit(ModelA().queries[0]);
-  ASSERT_EQ(future.wait_for(30s), std::future_status::ready);
-  EXPECT_THROW(future.get(), Error);
-}
-
-BatcherConfig QuickBatcherConfig() {
-  BatcherConfig config;
-  config.max_batch_size = 8;
-  config.max_delay = 2ms;
-  return config;
+  return true;
 }
 
 /// Registry with ModelA as default "alpha"; port 0 keeps tests off fixed
 /// ports.
 std::shared_ptr<ModelRegistry> AlphaRegistry() {
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = std::make_shared<ModelRegistry>();
   registry->Load("alpha", ModelA().model);
   return registry;
 }
@@ -247,7 +164,7 @@ TEST(ServerTest, BatchedPredictMatchesPerRecordAndReference) {
 TEST(ServerTest, RoutesNamedModelsIndependently) {
   const Fixture& a = ModelA();
   const Fixture& b = ModelB();
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = std::make_shared<ModelRegistry>();
   registry->Load("alpha", a.model);
   registry->Load("beta", b.model);
   Server server(registry);
@@ -293,7 +210,7 @@ TEST(ServerTest, UnknownModelYieldsStructuredErrorNotDroppedConnection) {
 TEST(ServerTest, ListModelsAndStatsDescribeTheRegistry) {
   const Fixture& a = ModelA();
   const Fixture& b = ModelB();
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = std::make_shared<ModelRegistry>();
   registry->Load("alpha", a.model);
   registry->Load("beta", b.model);
   Server server(registry);
@@ -328,14 +245,14 @@ TEST(ServerTest, ListModelsAndStatsDescribeTheRegistry) {
   server.Stop();
 }
 
-TEST(ServerTest, CoalescesConcurrentConnections) {
+TEST(ServerTest, ConcurrentConnectionsQueueBehindABusyPoolAndAllAnswer) {
   const Fixture& f = ModelA();
-  auto registry_config = QuickBatcherConfig();
-  registry_config.max_delay = 20ms;  // wide window so clients coalesce
-  auto registry = std::make_shared<ModelRegistry>(registry_config);
+  ThreadPool pool(1);
+  auto registry = std::make_shared<ModelRegistry>(1, &pool);
   registry->Load("alpha", f.model);
   Server server(registry);
   server.Start();
+  PoolLatch latch(pool);
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kPerClient = 6;
   std::atomic<std::size_t> mismatches{0};
@@ -349,13 +266,21 @@ TEST(ServerTest, CoalescesConcurrentConnections) {
       }
     });
   }
+  // Every connection's first predict is admitted and waits behind the
+  // latch; none is lost or answered early.
+  EXPECT_TRUE(WaitFor(
+      [&] { return registry->Stats("alpha")[0].queue_depth == kClients; }));
+  latch.Release();
   for (std::thread& thread : threads) thread.join();
   server.Stop();
   EXPECT_EQ(mismatches.load(), 0u);
   ASSERT_EQ(registry->Stats().size(), 1u);
   const ModelStats stats = registry->Stats()[0];
   EXPECT_EQ(stats.requests, kClients * kPerClient);
-  EXPECT_GE(stats.batches, 1u);
+  // One single-record request is one pool task.
+  EXPECT_EQ(stats.batches, kClients * kPerClient);
+  EXPECT_EQ(stats.max_batch, 1u);
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 TEST(ServerTest, HotReloadSwapsSnapshotBetweenRequests) {
@@ -411,7 +336,7 @@ TEST(ServerTest, PerModelReloadDoesNotDisturbOtherModels) {
   const Fixture& b = ModelB();
   const std::string path = testing::TempDir() + "serve_test_beta_model.bin";
   b.model->SaveModel(path);
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = std::make_shared<ModelRegistry>();
   registry->Load("alpha", a.model);
   registry->LoadFromDisk("beta", path);
   Server server(registry);
@@ -840,56 +765,72 @@ TEST(ServerTest, SlowLorisPartialFrameIsHarvestedByIdleTimeout) {
 
 TEST(ServerTest, QueueDepthRejectionIsAStructuredBusyError) {
   const Fixture& f = ModelA();
-  BatcherConfig batcher;
-  batcher.max_batch_size = 2;
-  batcher.max_delay = 60s;  // flushes only on the size trigger
-  auto registry = std::make_shared<ModelRegistry>(batcher);
+  ThreadPool pool(1);
+  auto registry = std::make_shared<ModelRegistry>(1, &pool);
   registry->Load("alpha", f.model);
   ServerConfig config;
   config.max_queue_depth = 2;
   Server server(registry, config);
   server.Start();
-  Client client("127.0.0.1", server.port());
-  // Five records cannot fit a 2-deep queue: refused whole (admission is
-  // all-or-nothing) with a structured busy error the client decodes.
-  const std::vector<rf::SignalRecord> five(f.queries.begin(),
-                                           f.queries.begin() + 5);
-  try {
-    client.PredictBatch(five, "alpha");
-    FAIL() << "expected a busy rejection";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("busy"), std::string::npos)
-        << e.what();
-  }
-  // Neither the connection nor the model is poisoned: a fitting batch is
-  // admitted and served bit-identically (the size trigger flushes it).
+  PoolLatch latch(pool);
+  // Two records fill the 2-deep queue while the pool is busy.
   const std::vector<rf::SignalRecord> two(f.queries.begin(),
                                           f.queries.begin() + 2);
+  std::vector<std::optional<rf::FloorId>> queued;
+  std::thread holder([&] {
+    Client holder_client("127.0.0.1", server.port());
+    queued = holder_client.PredictBatch(two, "alpha");
+  });
+  EXPECT_TRUE(
+      WaitFor([&] { return registry->Stats("alpha")[0].queue_depth == 2; }));
+  Client client("127.0.0.1", server.port());
+  // Neither one more record nor five fit: each request is refused whole
+  // (admission is all-or-nothing) with a structured busy error the client
+  // decodes.
+  const std::vector<rf::SignalRecord> five(f.queries.begin(),
+                                           f.queries.begin() + 5);
+  for (const auto& batch : {std::vector<rf::SignalRecord>{f.queries[2]},
+                            five}) {
+    try {
+      client.PredictBatch(batch, "alpha");
+      ADD_FAILURE() << "expected a busy rejection";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("busy"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(registry->Stats("alpha")[0].queue_depth, 2u);
+  latch.Release();
+  holder.join();
+  ASSERT_EQ(queued.size(), 2u);
+  EXPECT_EQ(queued[0], f.reference[0]);
+  EXPECT_EQ(queued[1], f.reference[1]);
+  // Neither the connection nor the model is poisoned: once the queue
+  // drains, a fitting batch is admitted and served bit-identically.
   const auto served = client.PredictBatch(two, "alpha");
   ASSERT_EQ(served.size(), 2u);
   EXPECT_EQ(served[0], f.reference[0]);
   EXPECT_EQ(served[1], f.reference[1]);
-  EXPECT_EQ(server.transport_stats().requests_rejected_busy, 1u);
+  EXPECT_EQ(server.transport_stats().requests_rejected_busy, 2u);
   server.Stop();
 }
 
 TEST(ServerTest, MaxInflightBusyRejectsTheExcessButKeepsReplyOrder) {
   const Fixture& f = ModelA();
-  BatcherConfig batcher;
-  batcher.max_batch_size = 100;
-  batcher.max_delay = 60s;  // nothing flushes until the registry drains
-  auto registry = std::make_shared<ModelRegistry>(batcher);
+  ThreadPool pool(1);
+  auto registry = std::make_shared<ModelRegistry>(1, &pool);
   registry->Load("alpha", f.model);
   ServerConfig config;
   config.max_inflight_per_connection = 1;
   Server server(registry, config);
   server.Start();
+  PoolLatch latch(pool);  // nothing is predicted until it opens
   const int fd = ConnectRaw(server.port());
   std::string burst = EncodeFrame(PredictRequest{"", {f.queries[0]}});
   burst += EncodeFrame(PredictRequest{"", {f.queries[1]}});
   SendAllRaw(fd, burst);
-  // Wait until the first predict sits in the batcher queue and the second
-  // was busy-rejected; the rejection's reply must still wait in line
+  // Wait until the first predict sits in the queue and the second was
+  // busy-rejected; the rejection's reply must still wait in line
   // behind the first one's.
   const auto deadline = std::chrono::steady_clock::now() + 30s;
   while ((registry->Stats("alpha")[0].queue_depth < 1 ||
@@ -899,7 +840,7 @@ TEST(ServerTest, MaxInflightBusyRejectsTheExcessButKeepsReplyOrder) {
   }
   ASSERT_EQ(registry->Stats("alpha")[0].queue_depth, 1u);
   ASSERT_EQ(server.transport_stats().requests_rejected_busy, 1u);
-  registry->Stop();  // drains the batcher: the first predict resolves
+  latch.Release();  // the first predict runs and resolves
   const std::optional<std::string> first = ReceiveFramePayload(fd);
   ASSERT_TRUE(first.has_value());
   const Message first_reply = DecodePayload(*first);
@@ -928,7 +869,7 @@ TEST(ServerTest, MaxInflightBusyRejectsTheExcessButKeepsReplyOrder) {
 TEST(ServerTest, HotSwapUnderPipelinedTrafficStaysBitIdentical) {
   const Fixture& a = ModelA();
   const Fixture& b = ModelB();  // same building + queries, different seed
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = std::make_shared<ModelRegistry>();
   registry->Load("alpha", a.model);
   Server server(registry);
   server.Start();
@@ -972,62 +913,6 @@ TEST(ServerTest, HotSwapUnderPipelinedTrafficStaysBitIdentical) {
 }
 
 // --- end-to-end telemetry -------------------------------------------------
-
-TEST(MicroBatcherTest, FlushReasonsAreAccountedAndHistogramsObserve) {
-  const Fixture& f = ModelA();
-  obs::Registry obs_registry;
-  {
-    BatcherConfig config;
-    config.max_batch_size = 2;
-    config.max_delay = 60s;
-    config.obs.batch_size = obs_registry.GetHistogram(
-        "grafics_batcher_batch_size", "h", obs::PowerOfTwoBuckets(2));
-    config.obs.queue_wait_us = obs_registry.GetHistogram(
-        "grafics_batcher_queue_wait_us", "h", obs::DefaultLatencyBucketsUs());
-    config.obs.predict_us = obs_registry.GetHistogram(
-        "grafics_batcher_predict_us", "h", obs::DefaultLatencyBucketsUs());
-    MicroBatcher batcher(config, SnapshotOf(f));
-    auto first = batcher.Submit(f.queries[0]);
-    auto second = batcher.Submit(f.queries[1]);
-    GetWithin(first);
-    GetWithin(second);
-    const BatcherStats stats = batcher.stats();
-    EXPECT_EQ(stats.flushes_max_batch, 1u);
-    EXPECT_EQ(stats.flushes_max_delay, 0u);
-    EXPECT_EQ(stats.flushes_shutdown, 0u);
-    // One dispatched batch = one batch-size and one predict observation,
-    // one queue-wait observation per record.
-    EXPECT_EQ(config.obs.batch_size->count(), 1u);
-    EXPECT_EQ(config.obs.batch_size->sum(), 2u);
-    EXPECT_EQ(config.obs.queue_wait_us->count(), 2u);
-    EXPECT_EQ(config.obs.predict_us->count(), 1u);
-  }
-  {
-    BatcherConfig config;
-    config.max_batch_size = 8;
-    config.max_delay = 1ms;
-    MicroBatcher batcher(config, SnapshotOf(f));
-    auto only = batcher.Submit(f.queries[0]);
-    GetWithin(only);
-    const BatcherStats stats = batcher.stats();
-    EXPECT_EQ(stats.flushes_max_delay, 1u);
-    EXPECT_EQ(stats.flushes_max_batch, 0u);
-  }
-  {
-    BatcherConfig config;
-    config.max_batch_size = 8;
-    config.max_delay = 60s;
-    MicroBatcher batcher(config, SnapshotOf(f));
-    auto pending = batcher.Submit(f.queries[0]);
-    batcher.Stop();  // drains the pending request as a shutdown flush
-    GetWithin(pending);
-    const BatcherStats stats = batcher.stats();
-    EXPECT_EQ(stats.flushes_shutdown, 1u);
-    EXPECT_EQ(stats.flushes_max_batch + stats.flushes_max_delay +
-                  stats.flushes_shutdown,
-              stats.batches);
-  }
-}
 
 /// One HTTP/1.0 request against the admin listener, read to EOF (the admin
 /// surface speaks Connection: close).
@@ -1102,7 +987,7 @@ TEST(AdminServerTest, ServesMetricsHealthAndReadiness) {
 TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
   const Fixture& f = ModelA();
   auto obs_registry = std::make_shared<obs::Registry>();
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = std::make_shared<ModelRegistry>();
   // Attach BEFORE Load so the per-model latency histograms resolve.
   registry->AttachObs(obs_registry);
   registry->Load("alpha", f.model);
@@ -1142,7 +1027,7 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
   ASSERT_EQ(stats.models.size(), 1u);
 
   // The scrape happens after the Stats round trip, so scraped transport
-  // counters are >= the wire-reported ones; batcher counters are quiescent
+  // counters are >= the wire-reported ones; dispatch counters are quiescent
   // (no predict between the two) and must match exactly.
   const std::string response = HttpGet(admin.port(), "/metrics");
   EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos);
@@ -1169,21 +1054,6 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
       *MetricValue(body, "grafics_transport_connections_harvested_total"),
       1u);
   EXPECT_GE(*MetricValue(body, "grafics_transport_harvest_sweeps_total"), 1u);
-  // Flush-reason counters sum to the batch count.
-  const std::uint64_t flush_sum =
-      *MetricValue(
-          body,
-          "grafics_batcher_flushes_total{model=\"alpha\",reason=\"max_batch"
-          "\"}") +
-      *MetricValue(
-          body,
-          "grafics_batcher_flushes_total{model=\"alpha\",reason=\"max_delay"
-          "\"}") +
-      *MetricValue(
-          body,
-          "grafics_batcher_flushes_total{model=\"alpha\",reason=\"shutdown"
-          "\"}");
-  EXPECT_EQ(flush_sum, stats.models[0].batches);
   // Latency distributions observed on the request path.
   EXPECT_EQ(*MetricValue(
                 body, "grafics_batcher_queue_wait_us_count{model=\"alpha\"}"),
@@ -1212,7 +1082,7 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
 TEST(ServerTest, TelemetryCoversIngestAndStoreFamilies) {
   const Fixture& f = ModelA();
   auto obs_registry = std::make_shared<obs::Registry>();
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = std::make_shared<ModelRegistry>();
   registry->AttachObs(obs_registry);
   registry->Load("alpha", f.model);
   // A fresh store directory every run: artifact counts below are absolute.
