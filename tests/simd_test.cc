@@ -1,7 +1,9 @@
 // Vector-kernel layer tests: scalar-vs-SIMD parity across awkward sizes and
 // alignments, NaN/inf propagation, backend selection (GRAFICS_SIMD /
-// PinBackend), and the scalar bit-identity anchor — a seeded RefineNewNodes
-// run whose golden values were captured from the pre-SIMD kernels.
+// PinBackend), and the bit-identity anchors — seeded RefineNewNodes runs
+// whose golden values were captured from the pre-SIMD kernels (scalar,
+// dim 8) and from the dispatched kernels (AVX2, dims 16/32/64, and the
+// serving overlay path).
 //
 // Suite order matters and is encoded in declaration order: SimdEnvTest runs
 // first (it observes the process-wide dispatch before anything pins it),
@@ -13,16 +15,20 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "core/grafics.h"
+#include "core/inference_context.h"
 #include "embed/embedding_store.h"
 #include "embed/trainer.h"
 #include "graph/bipartite_graph.h"
 #include "graph/weight_function.h"
 #include "rf/signal_record.h"
+#include "synth/presets.h"
 
 namespace grafics {
 namespace {
@@ -253,9 +259,15 @@ rf::SignalRecord MakeRecord(
   return record;
 }
 
-TEST(SimdGoldenTest, ScalarBackendReproducesPreSimdRefineRun) {
-  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
+/// The golden pipeline: offline training on a two-community graph at
+/// `dim`, one grown node, RefineNewNodes for 100 iterations. Returns the
+/// grown node's (ego, context) rows. Runs under whatever backend is pinned.
+struct GoldenRefine {
+  std::vector<double> ego;
+  std::vector<double> context;
+};
 
+GoldenRefine TwoCommunityRefine(std::size_t dim) {
   std::vector<rf::SignalRecord> records;
   for (int base : {100, 200}) {
     for (int r = 0; r < 4; ++r) {
@@ -269,6 +281,7 @@ TEST(SimdGoldenTest, ScalarBackendReproducesPreSimdRefineRun) {
   auto graph = graph::BipartiteGraph::FromRecords(records,
                                                   graph::OffsetWeight(120.0));
   embed::TrainerConfig config;
+  config.dim = dim;
   config.samples_per_edge = 50;
   config.dropout = 0.0;
   config.seed = 1234;
@@ -281,6 +294,29 @@ TEST(SimdGoldenTest, ScalarBackendReproducesPreSimdRefineRun) {
   store.Grow(graph.NumNodes() - nodes_before, rng);
   const std::vector<graph::NodeId> new_nodes = {new_node};
   embed::RefineNewNodes(graph, new_nodes, store, config, 100);
+  const std::span<const double> ego = store.Ego(new_node);
+  const std::span<const double> context = store.Context(new_node);
+  return {{ego.begin(), ego.end()}, {context.begin(), context.end()}};
+}
+
+/// FNV-1a over the bit patterns of `values`, byte order fixed (low byte
+/// first) so the pinned hashes do not depend on host endianness.
+std::uint64_t Fnv1a(std::span<const double> values,
+                    std::uint64_t hash = 0xcbf29ce484222325ULL) {
+  for (const double v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(SimdGoldenTest, ScalarBackendReproducesPreSimdRefineRun) {
+  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
+  const GoldenRefine run = TwoCommunityRefine(8);
 
   const double kGoldenEgo[8] = {
       -0.034028237245881714, 0.013271457364177671, 0.033890079274176844,
@@ -290,14 +326,113 @@ TEST(SimdGoldenTest, ScalarBackendReproducesPreSimdRefineRun) {
       0.037897748725178017,  0.036564981516817689, -0.018372312502568804,
       -0.02642353027513553,  0.0048045964950852145, 0.040115729542545178,
       -0.037778109816078681, 0.087218899627806504};
-  const std::span<const double> ego = store.Ego(new_node);
-  const std::span<const double> context = store.Context(new_node);
+  const std::span<const double> ego = run.ego;
+  const std::span<const double> context = run.context;
   ASSERT_EQ(ego.size(), 8u);
   ASSERT_EQ(context.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(ego[i], kGoldenEgo[i]) << "ego[" << i << "]";
     EXPECT_EQ(context[i], kGoldenContext[i]) << "context[" << i << "]";
   }
+}
+
+// --- per-backend refine goldens -------------------------------------------
+// Captured from the dispatched-kernel refine loop (before the fixed-dim
+// kernels existed) with the pipeline above. The AVX2 values pin the
+// backend's own reduction order — four lane sums collapsed as
+// (l0+l1)+(l2+l3) — which differs from scalar in the last bits.
+
+TEST(SimdGoldenTest, Avx2BackendReproducesDispatchedRefineRun) {
+  if (!simd::PinBackend(simd::Backend::kAvx2)) {
+    GTEST_SKIP() << "AVX2 unavailable on this build/CPU";
+  }
+  const GoldenRefine run = TwoCommunityRefine(8);
+  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
+
+  // On this small graph the two reduction orders happen to round alike at
+  // dims 8 and 16 (the wide-dim and overlay goldens below are where they
+  // part), so these equal the scalar anchor's values.
+  const double kGoldenEgo[8] = {
+      -0.034028237245881714, 0.013271457364177671, 0.033890079274176844,
+      0.045236679827145493,  -0.027931263889281969, -0.032403083282112104,
+      -0.0013361076425529351, -0.09004115025224993};
+  const double kGoldenContext[8] = {
+      0.037897748725178017,  0.036564981516817689, -0.018372312502568804,
+      -0.02642353027513553,  0.0048045964950852145, 0.040115729542545178,
+      -0.037778109816078681, 0.087218899627806504};
+  ASSERT_EQ(run.ego.size(), 8u);
+  ASSERT_EQ(run.context.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(run.ego[i], kGoldenEgo[i]) << "ego[" << i << "]";
+    EXPECT_EQ(run.context[i], kGoldenContext[i]) << "context[" << i << "]";
+  }
+}
+
+// FNV-1a of the refined (ego, context) rows at the wider dims Fig. 15
+// sweeps, per backend.
+struct WideDimGolden {
+  std::size_t dim;
+  std::uint64_t scalar_hash;
+  std::uint64_t avx2_hash;
+};
+constexpr WideDimGolden kWideDimGoldens[] = {
+    {16, 0xd991cabe8eff9a68ULL, 0xd991cabe8eff9a68ULL},
+    {32, 0x3e44724be11ebf91ULL, 0x2b2055941da5fb44ULL},
+    {64, 0x89cf3003613e27a1ULL, 0xadcf62e6a7d5742bULL},
+};
+
+TEST(SimdGoldenTest, WideDimsReproduceDispatchedRefineRun) {
+  for (const WideDimGolden& golden : kWideDimGoldens) {
+    ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
+    GoldenRefine run = TwoCommunityRefine(golden.dim);
+    ASSERT_EQ(run.ego.size(), golden.dim);
+    EXPECT_EQ(Fnv1a(run.context, Fnv1a(run.ego)), golden.scalar_hash)
+        << "scalar dim " << golden.dim;
+    if (simd::PinBackend(simd::Backend::kAvx2)) {
+      run = TwoCommunityRefine(golden.dim);
+      EXPECT_EQ(Fnv1a(run.context, Fnv1a(run.ego)), golden.avx2_hash)
+          << "avx2 dim " << golden.dim;
+    }
+  }
+  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
+}
+
+/// The serving path: a campus model, one Update (the store fold path),
+/// then 50 held-out scans through one InferenceContext (the overlay path).
+/// Hashes every accepted query embedding, in scan order.
+std::uint64_t OverlayQueryHash() {
+  core::GraficsConfig config;
+  config.trainer.samples_per_edge = 40;
+  config.online_refine_iterations = 200;
+  core::Grafics system(config);
+  auto building = synth::CampusBuildingConfig(/*seed=*/71, 100);
+  rf::Dataset dataset = building.MakeSimulator().GenerateDataset();
+  Rng split_rng(72);
+  auto [train, test] = dataset.TrainTestSplit(0.7, split_rng);
+  train.KeepLabelsPerFloor(4, split_rng);
+  system.Train(train.records());
+  const std::vector<rf::SignalRecord>& held_out = test.records();
+  std::vector<rf::SignalRecord> fold(held_out.begin(), held_out.begin() + 8);
+  system.Update(fold);
+  core::InferenceContext context = system.MakeContext();
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::size_t accepted = 0;
+  for (std::size_t i = 8; i < 58 && i < held_out.size(); ++i) {
+    if (!context.Predict(held_out[i]).has_value()) continue;
+    hash = Fnv1a(context.QueryEmbedding(), hash);
+    ++accepted;
+  }
+  EXPECT_GT(accepted, 40u);
+  return hash;
+}
+
+TEST(SimdGoldenTest, OverlayPathReproducesDispatchedQueryEmbeddings) {
+  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
+  EXPECT_EQ(OverlayQueryHash(), 0x65f597530f81a7caULL);
+  if (simd::PinBackend(simd::Backend::kAvx2)) {
+    EXPECT_EQ(OverlayQueryHash(), 0xabfeb347b6f2cbe8ULL);
+  }
+  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
 }
 
 }  // namespace
