@@ -49,12 +49,6 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   for (std::size_t i : small) probability_[i] = 1.0;  // numerical leftovers
 }
 
-std::size_t AliasSampler::Sample(Rng& rng) const {
-  Require(!empty(), "AliasSampler::Sample on empty sampler");
-  const std::size_t bucket = rng.NextIndex(probability_.size());
-  return rng.NextDouble() < probability_[bucket] ? bucket : alias_[bucket];
-}
-
 double AliasSampler::ProbabilityOf(std::size_t i) const {
   Require(i < normalized_.size(), "AliasSampler::ProbabilityOf out of range");
   return normalized_[i];

@@ -8,6 +8,7 @@
 #include <iosfwd>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 
 namespace grafics {
@@ -21,7 +22,18 @@ class AliasSampler {
   explicit AliasSampler(const std::vector<double>& weights);
 
   /// Draws an index in [0, size()) with probability proportional to weight.
-  std::size_t Sample(Rng& rng) const;
+  /// Forced inline: the per-query refine loop draws 1 + 2K of these per
+  /// step, and at its size the compiler would otherwise keep it a call.
+  /// The bucket-or-alias choice is a mask, not a branch: for most buckets
+  /// it is a coin flip the branch predictor cannot learn.
+  [[gnu::always_inline]] std::size_t Sample(Rng& rng) const {
+    Require(!empty(), "AliasSampler::Sample on empty sampler");
+    const std::size_t bucket = rng.NextIndex(probability_.size());
+    const std::size_t alias = alias_[bucket];
+    const std::size_t keep_bucket =
+        rng.NextDouble() < probability_[bucket] ? ~std::size_t{0} : 0;
+    return alias ^ ((bucket ^ alias) & keep_bucket);
+  }
 
   std::size_t size() const { return probability_.size(); }
   bool empty() const { return probability_.empty(); }

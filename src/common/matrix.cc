@@ -135,13 +135,4 @@ void Scale(std::span<double> x, double alpha) {
   for (double& v : x) v *= alpha;
 }
 
-double Sigmoid(double x) {
-  if (x >= 0.0) {
-    const double z = std::exp(-x);
-    return 1.0 / (1.0 + z);
-  }
-  const double z = std::exp(x);
-  return z / (1.0 + z);
-}
-
 }  // namespace grafics

@@ -9,6 +9,7 @@
 // these span-based wrappers add the dimension checks.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -100,7 +101,14 @@ double CosineDistance(std::span<const double> a, std::span<const double> b);
 /// y += alpha * x
 void Axpy(double alpha, std::span<const double> x, std::span<double> y);
 void Scale(std::span<double> x, double alpha);
-/// Numerically-stable logistic function.
-double Sigmoid(double x);
+/// Numerically-stable logistic function. Both branches of the classic form
+/// (1/(1+e^-x) for x >= 0, e^x/(1+e^x) below) share the one exponential
+/// z = e^-|x| and the denominator 1+z, so only the numerator is selected:
+/// one exp, one division, no branch — bit-identical to the branchy form,
+/// and inline for the refine loop.
+inline double Sigmoid(double x) {
+  const double z = std::exp(-std::fabs(x));
+  return (x >= 0.0 ? 1.0 : z) / (1.0 + z);
+}
 
 }  // namespace grafics

@@ -1,13 +1,19 @@
 // Portable vector-kernel layer for the inference/fold hot path.
 //
 // Every per-query and per-fold cycle in GRAFICS bottoms out in three
-// BLAS-level-1 loops — dot products, axpy, and squared-L2 distances — called
-// from the online-refinement SGD inner loop (embed/trainer.cc), the
-// centroid/kNN distance scans (cluster/), and agglomeration
-// (cluster/proximity_clusterer.cc). This header is the single place those
-// loops are implemented: a scalar reference backend plus AVX2 (x86) and NEON
-// (aarch64) implementations behind one function-pointer table, selected once
-// per process.
+// BLAS-level-1 loops — dot products, axpy, and squared-L2 distances. This
+// header is the single place those loops are implemented. Callers:
+//  * the per-query refine loop (embed/trainer.cc RefineNewNodes), through
+//    the inline FixedDot/FixedAxpy below at dims 8/16/32/64 on the scalar
+//    and AVX2 backends, and through the dispatched Kernels table for every
+//    other dim and for NEON;
+//  * offline E-LINE training (embed/trainer.cc TrainEmbeddings) and the
+//    common/matrix.{h,cc} span helpers, through the dispatched entry points;
+//  * the centroid/kNN distance scans (cluster/) and agglomeration
+//    (cluster/proximity_clusterer.cc), through the one-to-many kernels.
+// The dispatched kernels are a scalar reference backend plus AVX2 (x86) and
+// NEON (aarch64) implementations behind one function-pointer table,
+// selected once per process.
 //
 // Shapes: the one-to-one kernels (Dot / SquaredL2Distance / Axpy) operate on
 // raw contiguous arrays; the one-to-many kernels (DotMany /
@@ -28,6 +34,10 @@
 //    Dot/SquaredL2Distance results may differ from scalar in the last bits;
 //    parity is tested to 1e-12 relative tolerance. Axpy is element-wise with
 //    no reduction, so every backend is bit-identical to scalar there.
+//  * FixedDot reproduces one backend's reduction order exactly (SumOrder),
+//    so swapping a dispatched call for its fixed-dim twin changes no bit.
+//    Like the backends, a translation unit that calls them must be compiled
+//    with -ffp-contract=off (CMakeLists.txt lists each one).
 //
 // Selection order: PinBackend() if called before first use, else the
 // GRAFICS_SIMD environment variable (scalar|avx2|neon), else the best
@@ -97,6 +107,41 @@ void DotMany(const double* query, const double* rows, std::size_t num_rows,
 void SquaredL2DistanceMany(const double* query, const double* rows,
                            std::size_t num_rows, std::size_t cols,
                            double* out);
+
+// --- fixed-dim inline kernels ----------------------------------------------
+// For a loop whose dim is a compile-time constant, these inline to
+// straight-line code with no table lookup and no call. Each reproduces a
+// dispatched kernel bit for bit (SimdTest.FixedKernelsMatchTheirBackend-
+// BitForBit).
+
+/// Reduction order of a dot product: the scalar backend's single running
+/// sum, or the AVX2 backend's four lane sums (lane j takes elements
+/// j, j+4, ...) collapsed as (l0+l1)+(l2+l3).
+enum class SumOrder { kScalar, kAvx2Lanes };
+
+template <std::size_t D, SumOrder Order>
+inline double FixedDot(const double* a, const double* b) {
+  if constexpr (Order == SumOrder::kScalar) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < D; ++i) sum += a[i] * b[i];
+    return sum;
+  } else {
+    static_assert(D % 4 == 0, "the AVX2 order has no tail below 4 lanes");
+    // Lanes start at +0.0 like the vector accumulator, so signed zeros
+    // round exactly as they do there.
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t i = 0; i < D; i += 4) {
+      for (std::size_t j = 0; j < 4; ++j) lane[j] += a[i + j] * b[i + j];
+    }
+    return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  }
+}
+
+/// y += alpha * x. Element-wise, so one version matches every backend.
+template <std::size_t D>
+inline void FixedAxpy(double alpha, const double* x, double* y) {
+  for (std::size_t i = 0; i < D; ++i) y[i] += alpha * x[i];
+}
 
 namespace internal {
 /// Backend factories (simd_avx2.cc / simd_neon.cc): the backend's kernel

@@ -7,8 +7,9 @@
 namespace grafics::embed {
 
 EmbeddingOverlay::EmbeddingOverlay(const EmbeddingStore& base)
-    : base_(&base), base_rows_(base.num_nodes()), dim_(base.dim()) {
+    : base_rows_(base.num_nodes()), dim_(base.dim()) {
   Require(dim_ > 0, "EmbeddingOverlay: base store is empty");
+  base.ChunkStarts(&base_ego_, &base_context_);
 }
 
 void EmbeddingOverlay::Grow(std::size_t count, Rng& rng) {
@@ -27,18 +28,8 @@ void EmbeddingOverlay::Grow(std::size_t count, Rng& rng) {
   }
 }
 
-std::span<const double> EmbeddingOverlay::Ego(graph::NodeId node) const {
-  if (node < base_rows_) return base_->Ego(node);
-  Require(node - base_rows_ < scratch_rows_,
-          "EmbeddingOverlay::Ego: bad node id");
-  return {scratch_ego_.data() + (node - base_rows_) * dim_, dim_};
-}
-
-std::span<const double> EmbeddingOverlay::Context(graph::NodeId node) const {
-  if (node < base_rows_) return base_->Context(node);
-  Require(node - base_rows_ < scratch_rows_,
-          "EmbeddingOverlay::Context: bad node id");
-  return {scratch_context_.data() + (node - base_rows_) * dim_, dim_};
+void EmbeddingOverlay::ThrowBadNode(const char* what) {
+  throw Error(std::string(what) + ": bad node id");
 }
 
 std::span<double> EmbeddingOverlay::ScratchRow(std::vector<double>& table,

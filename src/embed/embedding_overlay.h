@@ -8,8 +8,9 @@
 // base.num_nodes()) in small flat buffers that are reset — capacity kept —
 // between queries.
 //
-// The base store must outlive the overlay and must not grow while the
-// overlay is alive.
+// The base store must outlive the overlay and must not be written or grown
+// while the overlay is alive: the constructor resolves the base tables'
+// chunk starts once, and base-row reads address rows through them.
 #pragma once
 
 #include <cstddef>
@@ -36,9 +37,17 @@ class EmbeddingOverlay {
   void Grow(std::size_t count, Rng& rng);
 
   /// Read access to any node: base rows come from the frozen store,
-  /// scratch rows from the overlay.
-  std::span<const double> Ego(graph::NodeId node) const;
-  std::span<const double> Context(graph::NodeId node) const;
+  /// scratch rows from the overlay. Inline: the per-query refine loop reads
+  /// 2 + 2K rows per step.
+  std::span<const double> Ego(graph::NodeId node) const {
+    return {ReadRow(base_ego_, scratch_ego_, node, "EmbeddingOverlay::Ego"),
+            dim_};
+  }
+  std::span<const double> Context(graph::NodeId node) const {
+    return {ReadRow(base_context_, scratch_context_, node,
+                    "EmbeddingOverlay::Context"),
+            dim_};
+  }
 
   /// Write access is restricted to scratch rows — the base model is frozen.
   std::span<double> Ego(graph::NodeId node);
@@ -48,10 +57,22 @@ class EmbeddingOverlay {
   void Reset() { scratch_rows_ = 0; }
 
  private:
+  const double* ReadRow(const std::vector<const double*>& base_chunks,
+                        const std::vector<double>& scratch,
+                        graph::NodeId node, const char* what) const {
+    if (node < base_rows_) {
+      return base_chunks[node / EmbeddingStore::kRowsPerChunk] +
+             (node % EmbeddingStore::kRowsPerChunk) * dim_;
+    }
+    if (node - base_rows_ >= scratch_rows_) ThrowBadNode(what);
+    return scratch.data() + (node - base_rows_) * dim_;
+  }
+  [[noreturn]] static void ThrowBadNode(const char* what);
   std::span<double> ScratchRow(std::vector<double>& table,
                                graph::NodeId node, const char* what);
 
-  const EmbeddingStore* base_;
+  std::vector<const double*> base_ego_;      // base chunk starts
+  std::vector<const double*> base_context_;  // base chunk starts
   std::size_t base_rows_;
   std::size_t dim_;
   std::size_t scratch_rows_ = 0;

@@ -80,16 +80,6 @@ void NegativeSamplerSet::RebuildGroupPicker() {
   group_picker_ = AliasSampler(totals);
 }
 
-graph::NodeId NegativeSamplerSet::SampleNode(Rng& rng) const {
-  Require(!groups_.empty(), "NegativeSamplerSet::SampleNode: empty set");
-  // Single group: one alias draw, bit-identical to the historical flat
-  // table. Multiple groups: one extra draw picks the group first.
-  const Group& group = groups_.size() == 1
-                           ? *groups_.front()
-                           : *groups_[group_picker_.Sample(rng)];
-  return group.node_of_index[group.alias.Sample(rng)];
-}
-
 std::size_t NegativeSamplerSet::num_entries() const {
   std::size_t entries = 0;
   for (const std::shared_ptr<const Group>& group : groups_) {

@@ -33,6 +33,7 @@
 
 #include "common/alias_sampler.h"
 #include "common/cow.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "graph/bipartite_graph.h"
 
@@ -59,8 +60,20 @@ class NegativeSamplerSet {
   NegativeSamplerSet Extended(const graph::BipartiteGraph& graph,
                               std::span<const graph::NodeId> touched) const;
 
-  /// Draws a node id with probability proportional to deg^{3/4}.
-  graph::NodeId SampleNode(Rng& rng) const;
+  /// Draws a node id with probability proportional to deg^{3/4}. Inline:
+  /// the per-query refine loop draws 2K of these per step.
+  graph::NodeId SampleNode(Rng& rng) const {
+    Require(!groups_.empty(), "NegativeSamplerSet::SampleNode: empty set");
+    // Single group (every model that has not folded since its last
+    // compaction): one alias draw, bit-identical to the historical flat
+    // table. Multiple groups: one extra draw picks the group first.
+    if (groups_.size() == 1) {
+      const Group& only = *groups_.front();
+      return only.node_of_index[only.alias.Sample(rng)];
+    }
+    const Group& group = *groups_[group_picker_.Sample(rng)];
+    return group.node_of_index[group.alias.Sample(rng)];
+  }
 
   bool empty() const { return groups_.empty(); }
   std::size_t num_groups() const { return groups_.size(); }

@@ -1,6 +1,7 @@
 #include "embed/trainer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <thread>
 
@@ -24,9 +25,10 @@ void SampledStep(std::span<const double> src, std::span<double> grad_src,
                  std::span<const graph::NodeId> node_of_index,
                  std::size_t negatives, double lr, bool update_targets,
                  Rng& rng) {
-  // Hottest loop in the trainer: go straight to the simd kernels — every row
-  // here is `dim` long by EmbeddingStore construction, so the span-level
-  // dimension re-checks in the matrix.cc wrappers would be pure overhead.
+  // Offline training's inner step: straight to the dispatched simd kernels
+  // — every row here is `dim` long by EmbeddingStore construction, so the
+  // span-level dimension re-checks in the matrix.cc wrappers would be pure
+  // overhead. (The per-query refine loop below uses kernel policies.)
   const std::size_t dim = src.size();
   // Positive sample: label 1.
   {
@@ -51,10 +53,9 @@ void SampledStep(std::span<const double> src, std::span<double> grad_src,
 void ApplyGradient(std::span<double> dst, std::span<double> grad,
                    double dropout, Rng& rng) {
   if (dropout <= 0.0) {
-    // Fast path (the whole online-refinement loop runs with dropout=0):
-    // `1.0 * g == g` exactly, so one axpy is bit-identical to the per-
-    // coordinate loop below, and the short-circuit above means the RNG
-    // stream is untouched either way.
+    // Fast path: `1.0 * g == g` exactly, so one axpy is bit-identical to
+    // the per-coordinate loop below, and the short-circuit above means the
+    // RNG stream is untouched either way.
     simd::Axpy(1.0, grad.data(), dst.data(), dst.size());
   } else {
     for (std::size_t c = 0; c < dst.size(); ++c) {
@@ -206,52 +207,244 @@ void RefineNewNodes(const graph::BipartiteGraph& graph,
 
 namespace {
 
-/// One frozen-base negative-sampling SGD step: like SampledStep with
-/// update_targets=false, but target rows are fetched through `target_row`
-/// so the same code serves the shared EmbeddingStore (batch Update) and the
-/// per-context EmbeddingOverlay (snapshot-isolated serving). The arithmetic
-/// and RNG sequence match SampledStep exactly.
-template <typename TargetRowFn>
-void FrozenSampledStep(std::span<const double> src, std::span<double> grad,
-                       TargetRowFn&& target_row, graph::NodeId target,
-                       const NegativeSamplerSet& negative_sampler,
-                       std::size_t negatives, double lr, Rng& rng) {
-  const std::size_t dim = src.size();
-  // Positive sample: label 1.
-  {
-    const std::span<const double> tgt = target_row(target);
-    const double g =
-        (1.0 - Sigmoid(simd::Dot(tgt.data(), src.data(), dim))) * lr;
-    simd::Axpy(g, tgt.data(), grad.data(), dim);
+// --- refine kernel policies ------------------------------------------------
+// The refine loop below is written once against a kernel policy: Dot and
+// Axpy over one row, the gradient buffer, and its fused apply. The policy is
+// chosen once per RefineNewNodes call (WithRefineKernels) and every choice
+// is bit-identical to the dispatched kernels of the active backend.
+
+/// A compile-time dim on the scalar or AVX2 backend: the inline fixed-dim
+/// kernels in `Order`, and the gradient on the stack.
+template <std::size_t D, simd::SumOrder Order>
+struct FixedDimKernels {
+  std::array<double, D> grad{};
+
+  double Dot(const double* a, const double* b) const {
+    return simd::FixedDot<D, Order>(a, b);
   }
-  // K negative samples: label 0.
-  for (std::size_t k = 0; k < negatives; ++k) {
-    const graph::NodeId z = negative_sampler.SampleNode(rng);
-    if (z == target) continue;
-    const std::span<const double> neg = target_row(z);
-    const double g = -Sigmoid(simd::Dot(neg.data(), src.data(), dim)) * lr;
-    simd::Axpy(g, neg.data(), grad.data(), dim);
+  void Axpy(double alpha, const double* x, double* y) const {
+    simd::FixedAxpy<D>(alpha, x, y);
+  }
+  /// dst += grad, then grad = 0, in one pass. `dst[c] + grad[c]` equals
+  /// the dispatched path's `dst[c] + 1.0 * grad[c]` exactly.
+  void ApplyGradient(double* dst) {
+    for (std::size_t c = 0; c < D; ++c) {
+      dst[c] += grad[c];
+      grad[c] = 0.0;
+    }
+  }
+};
+
+/// Every other dim, and the NEON backend: the active backend's kernel
+/// table, looked up once.
+struct DispatchedKernels {
+  explicit DispatchedKernels(std::size_t dim)
+      : table(simd::KernelsFor(simd::ActiveBackend())), grad(dim, 0.0) {}
+
+  const simd::Kernels* table;
+  std::vector<double> grad;
+
+  double Dot(const double* a, const double* b) const {
+    return table->dot(a, b, grad.size());
+  }
+  void Axpy(double alpha, const double* x, double* y) const {
+    table->axpy(alpha, x, y, grad.size());
+  }
+  void ApplyGradient(double* dst) {
+    table->axpy(1.0, grad.data(), dst, grad.size());
+    std::fill(grad.begin(), grad.end(), 0.0);
+  }
+};
+
+template <simd::SumOrder Order, typename Body>
+bool WithFixedDim(std::size_t dim, Body& body) {
+  switch (dim) {
+    case 8: {
+      FixedDimKernels<8, Order> kernels;
+      body(kernels);
+      return true;
+    }
+    case 16: {
+      FixedDimKernels<16, Order> kernels;
+      body(kernels);
+      return true;
+    }
+    case 32: {
+      FixedDimKernels<32, Order> kernels;
+      body(kernels);
+      return true;
+    }
+    case 64: {
+      FixedDimKernels<64, Order> kernels;
+      body(kernels);
+      return true;
+    }
+    default:
+      return false;
   }
 }
 
-/// Shared implementation of both RefineNewNodes overloads. `Graph` is
-/// BipartiteGraph or GraphOverlay; `Store` is EmbeddingStore or
-/// EmbeddingOverlay. Only `new_nodes` rows of `store` are written.
-template <typename Graph, typename Store>
-void RefineNewNodesImpl(const Graph& graph,
-                        std::span<const graph::NodeId> new_nodes,
-                        Store& store, const TrainerConfig& config,
-                        std::size_t iterations,
-                        const NegativeSamplerSet& negatives) {
-  Require(store.num_nodes() == graph.NumNodes(),
-          "RefineNewNodes: store/graph size mismatch (call Grow first)");
+/// Runs `body(kernels)` with the policy for `dim` on the active backend.
+/// NEON reduces in two lanes and keeps the dispatched kernels.
+template <typename Body>
+void WithRefineKernels(std::size_t dim, Body&& body) {
+  switch (simd::ActiveBackend()) {
+    case simd::Backend::kScalar:
+      if (WithFixedDim<simd::SumOrder::kScalar>(dim, body)) return;
+      break;
+    case simd::Backend::kAvx2:
+      if (WithFixedDim<simd::SumOrder::kAvx2Lanes>(dim, body)) return;
+      break;
+    case simd::Backend::kNeon:
+      break;
+  }
+  DispatchedKernels kernels(dim);
+  body(kernels);
+}
+
+/// The negatives of one refine step, drawn before the step's arithmetic so
+/// the serial RNG chain and the alias lookups run ahead of the dot products
+/// that consume them. Draws come out in the order the step uses them, so
+/// the RNG stream is the one an interleaved draw-then-use loop consumes.
+/// Holds one block on the stack; a step needing more than kBlock negatives
+/// (K > 32 with both E-LINE terms) refills as it goes.
+class NegativeDraws {
+ public:
+  NegativeDraws(const NegativeSamplerSet& sampler, Rng& rng)
+      : sampler_(sampler), rng_(rng) {}
+
+  /// Discards what is left and draws the first block of `count`.
+  void Start(std::size_t count) {
+    remaining_ = count;
+    Refill();
+  }
+
+  graph::NodeId Next() {
+    if (next_ == filled_) Refill();
+    return block_[next_++];
+  }
+
+ private:
+  static constexpr std::size_t kBlock = 64;
+
+  void Refill() {
+    filled_ = std::min(kBlock, remaining_);
+    remaining_ -= filled_;
+    next_ = 0;
+    for (std::size_t i = 0; i < filled_; ++i) {
+      block_[i] = sampler_.SampleNode(rng_);
+    }
+  }
+
+  const NegativeSamplerSet& sampler_;
+  Rng& rng_;
+  std::array<graph::NodeId, kBlock> block_{};
+  std::size_t filled_ = 0;
+  std::size_t next_ = 0;
+  std::size_t remaining_ = 0;
+};
+
+/// One frozen-base negative-sampling term: the positive `target` plus K
+/// negatives, read through `target_row`, accumulated into `kernels.grad`.
+/// Target rows are never written (Sec. V-A's frozen base model). Works in
+/// blocks of up to kBlock samples and three passes per block — every dot
+/// product, then every sigmoid, then the gradient axpys in sample order —
+/// so the independent dot/exp chains sit side by side while grad receives
+/// the same values in the same order as a one-pass loop.
+template <typename Kernels, typename TargetRowFn>
+void FrozenTerm(Kernels& kernels, const double* src,
+                const TargetRowFn& target_row, graph::NodeId target,
+                NegativeDraws& draws, std::size_t negatives, double lr) {
+  constexpr std::size_t kBlock = 16;
+  std::array<const double*, kBlock> rows{};
+  std::array<double, kBlock> scores{};
+  double* const grad = kernels.grad.data();
+  bool positive = true;  // the first block leads with the label-1 sample
+  std::size_t left = negatives;
+  while (positive || left > 0) {
+    std::size_t n = 0;
+    if (positive) rows[n++] = target_row(target);
+    for (; n < kBlock && left > 0; --left) {
+      const graph::NodeId z = draws.Next();
+      if (z != target) rows[n++] = target_row(z);
+    }
+    for (std::size_t j = 0; j < n; ++j) scores[j] = kernels.Dot(rows[j], src);
+    for (std::size_t j = 0; j < n; ++j) scores[j] = Sigmoid(scores[j]);
+    std::size_t j = 0;
+    if (positive) {
+      kernels.Axpy((1.0 - scores[0]) * lr, rows[0], grad);  // label 1
+      j = 1;
+      positive = false;
+    }
+    for (; j < n; ++j) {
+      kernels.Axpy(-scores[j] * lr, rows[j], grad);  // label 0
+    }
+  }
+}
+
+/// Target-row reads of the refine loop, as raw pointers. An overlay
+/// addresses base rows through the chunk starts it resolved at construction
+/// (its base is frozen), so its own accessors serve.
+class OverlayRows {
+ public:
+  explicit OverlayRows(const EmbeddingOverlay& store) : store_(store) {}
+  void Resolve() {}
+  const double* Ego(graph::NodeId n) const { return store_.Ego(n).data(); }
+  const double* Context(graph::NodeId n) const {
+    return store_.Context(n).data();
+  }
+
+ private:
+  const EmbeddingOverlay& store_;
+};
+
+/// The same chunk-start addressing over an EmbeddingStore, resolved once
+/// per node after its warm start: the warm start's writes are the only ones
+/// that can copy a shared chunk, and a node's steps write only its own rows.
+/// The two vectors are allocated once per call (the fold path).
+class StoreRows {
+ public:
+  explicit StoreRows(const EmbeddingStore& store)
+      : store_(store), dim_(store.dim()) {}
+  void Resolve() { store_.ChunkStarts(&ego_, &context_); }
+  const double* Ego(graph::NodeId n) const { return Row(ego_, n); }
+  const double* Context(graph::NodeId n) const { return Row(context_, n); }
+
+ private:
+  const double* Row(const std::vector<const double*>& chunks,
+                    graph::NodeId n) const {
+    return chunks[n / EmbeddingStore::kRowsPerChunk] +
+           (n % EmbeddingStore::kRowsPerChunk) * dim_;
+  }
+
+  const EmbeddingStore& store_;
+  std::size_t dim_;
+  std::vector<const double*> ego_;
+  std::vector<const double*> context_;
+};
+
+OverlayRows RowsOf(const EmbeddingOverlay& store) { return OverlayRows(store); }
+StoreRows RowsOf(const EmbeddingStore& store) { return StoreRows(store); }
+
+/// The refine loop of both RefineNewNodes overloads, for one kernel
+/// policy. `Graph` is BipartiteGraph or GraphOverlay; `Store` is
+/// EmbeddingStore or EmbeddingOverlay. Only `new_nodes` rows of `store`
+/// are written.
+template <typename Kernels, typename Graph, typename Store>
+void RefineLoop(Kernels& kernels, const Graph& graph,
+                std::span<const graph::NodeId> new_nodes, Store& store,
+                const TrainerConfig& config, std::size_t iterations,
+                const NegativeSamplerSet& negatives) {
   const Store& reads = store;  // const reads may touch any (frozen) row
-  const auto ego_row = [&reads](graph::NodeId n) { return reads.Ego(n); };
-  const auto context_row = [&reads](graph::NodeId n) {
-    return reads.Context(n);
+  auto rows = RowsOf(reads);
+  const auto ego_row = [&rows](graph::NodeId n) { return rows.Ego(n); };
+  const auto context_row = [&rows](graph::NodeId n) {
+    return rows.Context(n);
   };
+  const bool mirrored = config.objective == Objective::kELine;
+  const std::size_t k = config.negative_samples;
   Rng rng(config.seed ^ 0x5EEDFACEULL);
-  std::vector<double> grad(config.dim, 0.0);
+  NegativeDraws draws(negatives, rng);
 
   for (const graph::NodeId node : new_nodes) {
     const std::span<const graph::Neighbor> neighbors =
@@ -266,12 +459,19 @@ void RefineNewNodesImpl(const Graph& graph,
     std::fill(node_context.begin(), node_context.end(), 0.0);
     double weight_sum = 0.0;
     for (const graph::Neighbor& nb : neighbors) {
-      Axpy(nb.weight, reads.Ego(nb.node), node_ego);
-      Axpy(nb.weight, reads.Context(nb.node), node_context);
+      kernels.Axpy(nb.weight, reads.Ego(nb.node).data(), node_ego.data());
+      kernels.Axpy(nb.weight, reads.Context(nb.node).data(),
+                   node_context.data());
       weight_sum += nb.weight;
     }
     Scale(node_ego, 1.0 / weight_sum);
     Scale(node_context, 1.0 / weight_sum);
+    // Rows resolved once for the whole refinement: the mutable accesses
+    // above copied a shared chunk if any had to, and the steps below write
+    // only the node's own two rows, so no row moves under them.
+    rows.Resolve();
+    double* const ego = node_ego.data();
+    double* const context = node_context.data();
 
     // Alias table over this node's incident edges.
     std::vector<double> weights;
@@ -285,19 +485,30 @@ void RefineNewNodesImpl(const Graph& graph,
           lr0 * config.final_learning_rate_fraction,
           lr0 * (1.0 - static_cast<double>(s) /
                            static_cast<double>(iterations)));
-      const graph::Neighbor& nb = neighbors[local_edges.Sample(rng)];
-      // Only the new node's rows move: the frozen step never writes target
-      // rows, matching Sec. V-A's frozen base model.
-      FrozenSampledStep(reads.Ego(node), grad, context_row, nb.node,
-                        negatives, config.negative_samples, lr, rng);
-      ApplyGradient(store.Ego(node), grad, /*dropout=*/0.0, rng);
-      if (config.objective == Objective::kELine) {
-        FrozenSampledStep(reads.Context(node), grad, ego_row, nb.node,
-                          negatives, config.negative_samples, lr, rng);
-        ApplyGradient(store.Context(node), grad, /*dropout=*/0.0, rng);
+      const graph::NodeId target = neighbors[local_edges.Sample(rng)].node;
+      draws.Start(mirrored ? 2 * k : k);
+      FrozenTerm(kernels, ego, context_row, target, draws, k, lr);
+      kernels.ApplyGradient(ego);
+      if (mirrored) {
+        FrozenTerm(kernels, context, ego_row, target, draws, k, lr);
+        kernels.ApplyGradient(context);
       }
     }
   }
+}
+
+template <typename Graph, typename Store>
+void RefineNewNodesImpl(const Graph& graph,
+                        std::span<const graph::NodeId> new_nodes,
+                        Store& store, const TrainerConfig& config,
+                        std::size_t iterations,
+                        const NegativeSamplerSet& negatives) {
+  Require(store.num_nodes() == graph.NumNodes(),
+          "RefineNewNodes: store/graph size mismatch (call Grow first)");
+  WithRefineKernels(store.dim(), [&](auto& kernels) {
+    RefineLoop(kernels, graph, new_nodes, store, config, iterations,
+               negatives);
+  });
 }
 
 }  // namespace

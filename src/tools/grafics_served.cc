@@ -77,8 +77,11 @@
 //                     error — an operator pinning a fleet wants to know.
 //                     The active backend is exported as the info-gauge
 //                     grafics_simd_backend and logged at startup.
-//   --max-batch N, --max-delay-ms M  accepted and ignored, with a warning
-//                     on stderr (predicts no longer wait to be batched)
+//
+// Every flag takes exactly one value. An unknown flag (a typo such as
+// --thread) or a flag missing its value prints the usage text and exits
+// with status 2 instead of starting a daemon with a default the operator
+// did not ask for.
 //
 // SIGHUP hot-reloads every model from its artifact path, one by one: new
 // predicts move to each fresh snapshot atomically while in-flight ones
@@ -89,7 +92,8 @@
 // then is the registry torn down — accepted records are never lost to a
 // TERM.
 //
-// Exit status: 0 on clean shutdown, 1 on usage error, 2 on runtime failure.
+// Exit status: 0 on clean shutdown, 1 when no model is given, 2 on an
+// unknown flag, a bad flag value or a runtime failure.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -99,6 +103,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -168,6 +173,34 @@ int Usage() {
   return 1;
 }
 
+/// Every flag main() reads; each takes one value.
+constexpr const char* kFlags[] = {
+    "--model", "--default", "--host", "--port", "--threads", "--event-workers",
+    "--idle-timeout-ms", "--max-inflight", "--max-queue-depth", "--port-file",
+    "--journal-dir", "--ingest-batch", "--ingest-max-delay-ms",
+    "--ingest-max-pending", "--store-dir", "--compact-every-n-folds",
+    "--max-journal-bytes", "--admin-port", "--admin-port-file",
+    "--slow-request-us", "--simd",
+};
+
+/// Checks that `args` is a sequence of known flags, each followed by its
+/// value. On the first violation prints it with the usage text and returns
+/// false.
+bool FlagsAreKnown(const std::vector<std::string>& args) {
+  for (std::size_t i = 0; i < args.size(); i += 2) {
+    const bool known = std::find(std::begin(kFlags), std::end(kFlags),
+                                 args[i]) != std::end(kFlags);
+    if (!known || i + 1 == args.size()) {
+      std::fprintf(stderr, "grafics_served: %s '%s'\n",
+                   known ? "missing value for flag" : "unknown argument",
+                   args[i].c_str());
+      Usage();
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Splits "NAME=PATH" on the first '='; both halves must be non-empty.
 std::pair<std::string, std::string> ParseModelFlag(const std::string& text) {
   const std::size_t equals = text.find('=');
@@ -234,6 +267,7 @@ int main(int argc, char** argv) {
     first_flag = 2;
   }
   const std::vector<std::string> args(argv + first_flag, argv + argc);
+  if (!FlagsAreKnown(args)) return 2;
   try {
     serve::ServerConfig config;
     config.host = FlagValue(args, "--host", "127.0.0.1");
@@ -254,19 +288,6 @@ int main(int argc, char** argv) {
         "--max-queue-depth"));
     const auto predict_threads = static_cast<std::size_t>(ParseUnsigned(
         FlagValue(args, "--threads", "1"), 4096, "--threads"));
-    std::string ignored_flags;
-    for (const char* retired : {"--max-batch", "--max-delay-ms"}) {
-      if (std::find(args.begin(), args.end(), retired) == args.end()) continue;
-      ignored_flags += (ignored_flags.empty() ? "" : " and ");
-      ignored_flags += retired;
-    }
-    if (!ignored_flags.empty()) {
-      std::fprintf(stderr,
-                   "grafics_served: warning: %s ignored: predicts are "
-                   "dispatched without batching; the flag(s) will be "
-                   "removed\n",
-                   ignored_flags.c_str());
-    }
     const std::string port_file = FlagValue(args, "--port-file", "");
     ingest::IngestConfig ingest_config;
     ingest_config.journal_dir = FlagValue(args, "--journal-dir", "");

@@ -175,6 +175,54 @@ TEST(SimdParityTest, UnalignedRowOffsets) {
   }
 }
 
+// The inline fixed-dim kernels the refine loop uses must reproduce the
+// dispatched kernel they stand in for to the last bit: FixedDot in scalar
+// order against the scalar table, in AVX2 order against the AVX2 table, and
+// FixedAxpy against every backend's axpy. Rows start at unaligned offsets.
+template <std::size_t D>
+void ExpectFixedKernelsMatch(Rng& rng) {
+  const simd::Kernels* scalar = simd::KernelsFor(simd::Backend::kScalar);
+  const simd::Kernels* avx2 = simd::KernelsFor(simd::Backend::kAvx2);
+  std::vector<const simd::Kernels*> tables = {scalar};
+  for (const simd::Backend backend : AvailableSimdBackends()) {
+    tables.push_back(simd::KernelsFor(backend));
+  }
+  for (int trial = 0; trial < 16; ++trial) {
+    const std::vector<double> pool = RandomVector(2 * D + 16, rng);
+    for (const std::size_t offset : {0ul, 1ul, 3ul, 5ul}) {
+      const double* a = pool.data() + offset;
+      const double* b = pool.data() + D + 8 + offset;
+      EXPECT_EQ((simd::FixedDot<D, simd::SumOrder::kScalar>(a, b)),
+                scalar->dot(a, b, D))
+          << "scalar order D=" << D << " offset=" << offset;
+      if (avx2 != nullptr) {
+        EXPECT_EQ((simd::FixedDot<D, simd::SumOrder::kAvx2Lanes>(a, b)),
+                  avx2->dot(a, b, D))
+            << "avx2 order D=" << D << " offset=" << offset;
+      }
+      const double alpha = rng.Uniform(-3.0, 3.0);
+      for (const simd::Kernels* table : tables) {
+        std::vector<double> y_fixed = RandomVector(D + offset, rng);
+        std::vector<double> y_table = y_fixed;
+        simd::FixedAxpy<D>(alpha, a, y_fixed.data() + offset);
+        table->axpy(alpha, a, y_table.data() + offset, D);
+        for (std::size_t i = 0; i < y_fixed.size(); ++i) {
+          ASSERT_EQ(y_fixed[i], y_table[i])
+              << "axpy D=" << D << " offset=" << offset << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTest, FixedKernelsMatchTheirBackendBitForBit) {
+  Rng rng(46);
+  ExpectFixedKernelsMatch<8>(rng);
+  ExpectFixedKernelsMatch<16>(rng);
+  ExpectFixedKernelsMatch<32>(rng);
+  ExpectFixedKernelsMatch<64>(rng);
+}
+
 TEST(SimdParityTest, ZeroLengthIsSafe) {
   const std::vector<double> empty;
   double out = 1.0;
@@ -368,21 +416,24 @@ TEST(SimdGoldenTest, Avx2BackendReproducesDispatchedRefineRun) {
   }
 }
 
-// FNV-1a of the refined (ego, context) rows at the wider dims Fig. 15
-// sweeps, per backend.
-struct WideDimGolden {
+// FNV-1a of the refined (ego, context) rows at the other dims Fig. 15
+// sweeps, per backend. Dims 4 and 12 (an AVX2 tail) have no fixed-dim
+// refine kernel, so they pin the dispatched fallback.
+struct DimGolden {
   std::size_t dim;
   std::uint64_t scalar_hash;
   std::uint64_t avx2_hash;
 };
-constexpr WideDimGolden kWideDimGoldens[] = {
+constexpr DimGolden kDimGoldens[] = {
+    {4, 0x0c53e6787aeeb05aULL, 0x0c53e6787aeeb05aULL},
+    {12, 0x9cd142ce6f1c2bb5ULL, 0xc6a28105a050345fULL},
     {16, 0xd991cabe8eff9a68ULL, 0xd991cabe8eff9a68ULL},
     {32, 0x3e44724be11ebf91ULL, 0x2b2055941da5fb44ULL},
     {64, 0x89cf3003613e27a1ULL, 0xadcf62e6a7d5742bULL},
 };
 
-TEST(SimdGoldenTest, WideDimsReproduceDispatchedRefineRun) {
-  for (const WideDimGolden& golden : kWideDimGoldens) {
+TEST(SimdGoldenTest, OtherDimsReproduceDispatchedRefineRun) {
+  for (const DimGolden& golden : kDimGoldens) {
     ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
     GoldenRefine run = TwoCommunityRefine(golden.dim);
     ASSERT_EQ(run.ego.size(), golden.dim);
