@@ -344,27 +344,34 @@ class NegativeDraws {
   std::size_t remaining_ = 0;
 };
 
+/// Scratch for one block of a term's samples: their target rows and
+/// scores. One per RefineNewNodes call, reused by every step.
+struct TermBlock {
+  static constexpr std::size_t kSize = 16;
+  std::array<const double*, kSize> rows{};
+  std::array<double, kSize> scores{};
+};
+
 /// One frozen-base negative-sampling term: the positive `target` plus K
 /// negatives, read through `target_row`, accumulated into `kernels.grad`.
 /// Target rows are never written (Sec. V-A's frozen base model). Works in
-/// blocks of up to kBlock samples and three passes per block — every dot
-/// product, then every sigmoid, then the gradient axpys in sample order —
-/// so the independent dot/exp chains sit side by side while grad receives
-/// the same values in the same order as a one-pass loop.
+/// blocks of up to TermBlock::kSize samples, three passes per block: every
+/// dot product, then every sigmoid, then the gradient axpys in sample
+/// order. The independent dot/exp chains sit side by side, and grad
+/// receives the same values in the same order as a one-pass loop.
 template <typename Kernels, typename TargetRowFn>
 void FrozenTerm(Kernels& kernels, const double* src,
                 const TargetRowFn& target_row, graph::NodeId target,
-                NegativeDraws& draws, std::size_t negatives, double lr) {
-  constexpr std::size_t kBlock = 16;
-  std::array<const double*, kBlock> rows{};
-  std::array<double, kBlock> scores{};
+                NegativeDraws& draws, std::size_t negatives, double lr,
+                TermBlock& block) {
+  auto& [rows, scores] = block;
   double* const grad = kernels.grad.data();
   bool positive = true;  // the first block leads with the label-1 sample
   std::size_t left = negatives;
   while (positive || left > 0) {
     std::size_t n = 0;
     if (positive) rows[n++] = target_row(target);
-    for (; n < kBlock && left > 0; --left) {
+    for (; n < TermBlock::kSize && left > 0; --left) {
       const graph::NodeId z = draws.Next();
       if (z != target) rows[n++] = target_row(z);
     }
@@ -445,6 +452,7 @@ void RefineLoop(Kernels& kernels, const Graph& graph,
   const std::size_t k = config.negative_samples;
   Rng rng(config.seed ^ 0x5EEDFACEULL);
   NegativeDraws draws(negatives, rng);
+  TermBlock block;
 
   for (const graph::NodeId node : new_nodes) {
     const std::span<const graph::Neighbor> neighbors =
@@ -487,10 +495,10 @@ void RefineLoop(Kernels& kernels, const Graph& graph,
                            static_cast<double>(iterations)));
       const graph::NodeId target = neighbors[local_edges.Sample(rng)].node;
       draws.Start(mirrored ? 2 * k : k);
-      FrozenTerm(kernels, ego, context_row, target, draws, k, lr);
+      FrozenTerm(kernels, ego, context_row, target, draws, k, lr, block);
       kernels.ApplyGradient(ego);
       if (mirrored) {
-        FrozenTerm(kernels, context, ego_row, target, draws, k, lr);
+        FrozenTerm(kernels, context, ego_row, target, draws, k, lr, block);
         kernels.ApplyGradient(context);
       }
     }
