@@ -251,6 +251,26 @@ class CowMatrix {
 
   std::size_t num_chunks() const { return table_->size(); }
 
+  /// The chunk starts of a matrix, resolved once, for a reader of many rows
+  /// of a matrix that is not written meanwhile: Row skips the shared-table
+  /// hops of CowMatrix::Row. Valid until the matrix next writes or grows (a
+  /// write may copy a shared chunk).
+  class RowTable {
+   public:
+    explicit RowTable(const CowMatrix& matrix) : cols_(matrix.cols_) {
+      starts_.reserve(matrix.num_chunks());
+      for (const auto& chunk : *matrix.table_) starts_.push_back(chunk->data());
+    }
+
+    const double* Row(std::size_t r) const {
+      return starts_[r / kRowsPerChunk] + (r % kRowsPerChunk) * cols_;
+    }
+
+   private:
+    std::vector<const double*> starts_;
+    std::size_t cols_;
+  };
+
   /// Identity of chunk `c`; two snapshots share chunk `c` iff equal.
   const void* ChunkIdentity(std::size_t c) const { return (*table_)[c].get(); }
 

@@ -4,9 +4,9 @@
 // BLAS-level-1 loops — dot products, axpy, and squared-L2 distances. This
 // header is the single place those loops are implemented. Callers:
 //  * the per-query refine loop (embed/trainer.cc RefineNewNodes), through
-//    the inline FixedDot/FixedAxpy below at dims 8/16/32/64 on the scalar
-//    and AVX2 backends, and through the dispatched Kernels table for every
-//    other dim and for NEON;
+//    the inline FixedDot/FixedAxpy below at dim 8 on the scalar and AVX2
+//    backends, and through the dispatched Kernels table for every other
+//    dim and for NEON;
 //  * offline E-LINE training (embed/trainer.cc TrainEmbeddings) and the
 //    common/matrix.{h,cc} span helpers, through the dispatched entry points;
 //  * the centroid/kNN distance scans (cluster/) and agglomeration

@@ -7,9 +7,11 @@
 namespace grafics::embed {
 
 EmbeddingOverlay::EmbeddingOverlay(const EmbeddingStore& base)
-    : base_rows_(base.num_nodes()), dim_(base.dim()) {
+    : base_ego_(base.EgoRows()),
+      base_context_(base.ContextRows()),
+      base_rows_(base.num_nodes()),
+      dim_(base.dim()) {
   Require(dim_ > 0, "EmbeddingOverlay: base store is empty");
-  base.ChunkStarts(&base_ego_, &base_context_);
 }
 
 void EmbeddingOverlay::Grow(std::size_t count, Rng& rng) {

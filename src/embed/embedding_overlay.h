@@ -9,8 +9,8 @@
 // between queries.
 //
 // The base store must outlive the overlay and must not be written or grown
-// while the overlay is alive: the constructor resolves the base tables'
-// chunk starts once, and base-row reads address rows through them.
+// while the overlay is alive: the constructor resolves the base tables' row
+// addresses once (CowMatrix::RowTable), and base-row reads go through them.
 #pragma once
 
 #include <cstddef>
@@ -57,13 +57,10 @@ class EmbeddingOverlay {
   void Reset() { scratch_rows_ = 0; }
 
  private:
-  const double* ReadRow(const std::vector<const double*>& base_chunks,
+  const double* ReadRow(const CowMatrix::RowTable& base,
                         const std::vector<double>& scratch,
                         graph::NodeId node, const char* what) const {
-    if (node < base_rows_) {
-      return base_chunks[node / EmbeddingStore::kRowsPerChunk] +
-             (node % EmbeddingStore::kRowsPerChunk) * dim_;
-    }
+    if (node < base_rows_) return base.Row(node);
     if (node - base_rows_ >= scratch_rows_) ThrowBadNode(what);
     return scratch.data() + (node - base_rows_) * dim_;
   }
@@ -71,8 +68,8 @@ class EmbeddingOverlay {
   std::span<double> ScratchRow(std::vector<double>& table,
                                graph::NodeId node, const char* what);
 
-  std::vector<const double*> base_ego_;      // base chunk starts
-  std::vector<const double*> base_context_;  // base chunk starts
+  CowMatrix::RowTable base_ego_;
+  CowMatrix::RowTable base_context_;
   std::size_t base_rows_;
   std::size_t dim_;
   std::size_t scratch_rows_ = 0;

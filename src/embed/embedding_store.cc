@@ -73,19 +73,6 @@ void EmbeddingStore::Grow(std::size_t count, Rng& rng) {
   for (std::size_t r = old_rows; r < ego_.rows(); ++r) InitRow(r, rng);
 }
 
-void EmbeddingStore::ChunkStarts(std::vector<const double*>* ego,
-                                 std::vector<const double*>* context) const {
-  const auto fill = [](const CowMatrix& table,
-                       std::vector<const double*>* starts) {
-    starts->resize(table.num_chunks());
-    for (std::size_t c = 0; c < starts->size(); ++c) {
-      (*starts)[c] = table.ChunkSpan(c).data();
-    }
-  };
-  fill(ego_, ego);
-  fill(context_, context);
-}
-
 CowBytes EmbeddingStore::MemoryBytes() const {
   CowBytes bytes = ego_.MemoryBytes();
   bytes += context_.MemoryBytes();

@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <iosfwd>
 #include <span>
-#include <vector>
 
 #include "common/cow.h"
 #include "common/matrix.h"
@@ -49,16 +48,12 @@ class EmbeddingStore {
     return context_.Row(node);
   }
 
-  /// Row r of either table lives in chunk r / kRowsPerChunk, at offset
-  /// (r % kRowsPerChunk) * dim() from the chunk's start.
-  static constexpr std::size_t kRowsPerChunk = CowMatrix::kRowsPerChunk;
-
-  /// Fills `ego` and `context` with the start of every chunk of each
-  /// table (reusing their capacity), for readers that address rows without
-  /// the copy-on-write table hops. Valid until this store next writes or
-  /// grows: a write may copy a shared chunk.
-  void ChunkStarts(std::vector<const double*>* ego,
-                   std::vector<const double*>* context) const;
+  /// Raw row addresses of each table (CowMatrix::RowTable), for readers
+  /// of many rows. Valid until this store next writes or grows.
+  CowMatrix::RowTable EgoRows() const { return CowMatrix::RowTable(ego_); }
+  CowMatrix::RowTable ContextRows() const {
+    return CowMatrix::RowTable(context_);
+  }
 
   /// Appends `count` freshly-initialized nodes (online inference grows the
   /// graph). Existing rows are preserved — and, since the tables are

@@ -213,8 +213,8 @@ namespace {
 // chosen once per RefineNewNodes call (WithRefineKernels) and every choice
 // is bit-identical to the dispatched kernels of the active backend.
 
-/// A compile-time dim on the scalar or AVX2 backend: the inline fixed-dim
-/// kernels in `Order`, and the gradient on the stack.
+/// Dim D on the scalar or AVX2 backend: the inline fixed-dim kernels in
+/// `Order`, and the gradient on the stack.
 template <std::size_t D, simd::SumOrder Order>
 struct FixedDimKernels {
   std::array<double, D> grad{};
@@ -258,30 +258,13 @@ struct DispatchedKernels {
 
 template <simd::SumOrder Order, typename Body>
 bool WithFixedDim(std::size_t dim, Body& body) {
-  switch (dim) {
-    case 8: {
-      FixedDimKernels<8, Order> kernels;
-      body(kernels);
-      return true;
-    }
-    case 16: {
-      FixedDimKernels<16, Order> kernels;
-      body(kernels);
-      return true;
-    }
-    case 32: {
-      FixedDimKernels<32, Order> kernels;
-      body(kernels);
-      return true;
-    }
-    case 64: {
-      FixedDimKernels<64, Order> kernels;
-      body(kernels);
-      return true;
-    }
-    default:
-      return false;
-  }
+  // Dim 8 is the one every deployment and benchmark runs (TrainerConfig's
+  // default); other dims take the dispatched kernels, which reproduce every
+  // backend's order too.
+  if (dim != 8) return false;
+  FixedDimKernels<8, Order> kernels;
+  body(kernels);
+  return true;
 }
 
 /// Runs `body(kernels)` with the policy for `dim` on the active backend.
@@ -302,77 +285,30 @@ void WithRefineKernels(std::size_t dim, Body&& body) {
   body(kernels);
 }
 
-/// The negatives of one refine step, drawn before the step's arithmetic so
-/// the serial RNG chain and the alias lookups run ahead of the dot products
-/// that consume them. Draws come out in the order the step uses them, so
-/// the RNG stream is the one an interleaved draw-then-use loop consumes.
-/// Holds one block on the stack; a step needing more than kBlock negatives
-/// (K > 32 with both E-LINE terms) refills as it goes.
-class NegativeDraws {
- public:
-  NegativeDraws(const NegativeSamplerSet& sampler, Rng& rng)
-      : sampler_(sampler), rng_(rng) {}
-
-  /// Discards what is left and draws the first block of `count`.
-  void Start(std::size_t count) {
-    remaining_ = count;
-    Refill();
-  }
-
-  graph::NodeId Next() {
-    if (next_ == filled_) Refill();
-    return block_[next_++];
-  }
-
- private:
-  static constexpr std::size_t kBlock = 64;
-
-  void Refill() {
-    filled_ = std::min(kBlock, remaining_);
-    remaining_ -= filled_;
-    next_ = 0;
-    for (std::size_t i = 0; i < filled_; ++i) {
-      block_[i] = sampler_.SampleNode(rng_);
-    }
-  }
-
-  const NegativeSamplerSet& sampler_;
-  Rng& rng_;
-  std::array<graph::NodeId, kBlock> block_{};
-  std::size_t filled_ = 0;
-  std::size_t next_ = 0;
-  std::size_t remaining_ = 0;
-};
-
-/// Scratch for one block of a term's samples: their target rows and
-/// scores. One per RefineNewNodes call, reused by every step.
-struct TermBlock {
-  static constexpr std::size_t kSize = 16;
-  std::array<const double*, kSize> rows{};
-  std::array<double, kSize> scores{};
-};
-
 /// One frozen-base negative-sampling term: the positive `target` plus K
 /// negatives, read through `target_row`, accumulated into `kernels.grad`.
 /// Target rows are never written (Sec. V-A's frozen base model). Works in
-/// blocks of up to TermBlock::kSize samples, three passes per block: every
-/// dot product, then every sigmoid, then the gradient axpys in sample
-/// order. The independent dot/exp chains sit side by side, and grad
-/// receives the same values in the same order as a one-pass loop.
+/// blocks of up to kBlock samples, three passes per block: every dot
+/// product, then every sigmoid, then the gradient axpys in sample order.
+/// The independent dot/exp chains sit side by side (1.4-1.5x faster than
+/// one pass per sample at dim 8), while the RNG draws and grad's additions
+/// keep the order of SampledStep with update_targets=false.
 template <typename Kernels, typename TargetRowFn>
 void FrozenTerm(Kernels& kernels, const double* src,
                 const TargetRowFn& target_row, graph::NodeId target,
-                NegativeDraws& draws, std::size_t negatives, double lr,
-                TermBlock& block) {
-  auto& [rows, scores] = block;
+                const NegativeSamplerSet& negatives, std::size_t k, double lr,
+                Rng& rng) {
+  constexpr std::size_t kBlock = 16;
+  const double* rows[kBlock];
+  double scores[kBlock];
   double* const grad = kernels.grad.data();
   bool positive = true;  // the first block leads with the label-1 sample
-  std::size_t left = negatives;
+  std::size_t left = k;
   while (positive || left > 0) {
     std::size_t n = 0;
     if (positive) rows[n++] = target_row(target);
-    for (; n < TermBlock::kSize && left > 0; --left) {
-      const graph::NodeId z = draws.Next();
+    for (; n < kBlock && left > 0; --left) {
+      const graph::NodeId z = negatives.SampleNode(rng);
       if (z != target) rows[n++] = target_row(z);
     }
     for (std::size_t j = 0; j < n; ++j) scores[j] = kernels.Dot(rows[j], src);
@@ -389,50 +325,6 @@ void FrozenTerm(Kernels& kernels, const double* src,
   }
 }
 
-/// Target-row reads of the refine loop, as raw pointers. An overlay
-/// addresses base rows through the chunk starts it resolved at construction
-/// (its base is frozen), so its own accessors serve.
-class OverlayRows {
- public:
-  explicit OverlayRows(const EmbeddingOverlay& store) : store_(store) {}
-  void Resolve() {}
-  const double* Ego(graph::NodeId n) const { return store_.Ego(n).data(); }
-  const double* Context(graph::NodeId n) const {
-    return store_.Context(n).data();
-  }
-
- private:
-  const EmbeddingOverlay& store_;
-};
-
-/// The same chunk-start addressing over an EmbeddingStore, resolved once
-/// per node after its warm start: the warm start's writes are the only ones
-/// that can copy a shared chunk, and a node's steps write only its own rows.
-/// The two vectors are allocated once per call (the fold path).
-class StoreRows {
- public:
-  explicit StoreRows(const EmbeddingStore& store)
-      : store_(store), dim_(store.dim()) {}
-  void Resolve() { store_.ChunkStarts(&ego_, &context_); }
-  const double* Ego(graph::NodeId n) const { return Row(ego_, n); }
-  const double* Context(graph::NodeId n) const { return Row(context_, n); }
-
- private:
-  const double* Row(const std::vector<const double*>& chunks,
-                    graph::NodeId n) const {
-    return chunks[n / EmbeddingStore::kRowsPerChunk] +
-           (n % EmbeddingStore::kRowsPerChunk) * dim_;
-  }
-
-  const EmbeddingStore& store_;
-  std::size_t dim_;
-  std::vector<const double*> ego_;
-  std::vector<const double*> context_;
-};
-
-OverlayRows RowsOf(const EmbeddingOverlay& store) { return OverlayRows(store); }
-StoreRows RowsOf(const EmbeddingStore& store) { return StoreRows(store); }
-
 /// The refine loop of both RefineNewNodes overloads, for one kernel
 /// policy. `Graph` is BipartiteGraph or GraphOverlay; `Store` is
 /// EmbeddingStore or EmbeddingOverlay. Only `new_nodes` rows of `store`
@@ -443,16 +335,14 @@ void RefineLoop(Kernels& kernels, const Graph& graph,
                 const TrainerConfig& config, std::size_t iterations,
                 const NegativeSamplerSet& negatives) {
   const Store& reads = store;  // const reads may touch any (frozen) row
-  auto rows = RowsOf(reads);
-  const auto ego_row = [&rows](graph::NodeId n) { return rows.Ego(n); };
-  const auto context_row = [&rows](graph::NodeId n) {
-    return rows.Context(n);
+  const auto ego_row = [&reads](graph::NodeId n) {
+    return reads.Ego(n).data();
   };
-  const bool mirrored = config.objective == Objective::kELine;
+  const auto context_row = [&reads](graph::NodeId n) {
+    return reads.Context(n).data();
+  };
   const std::size_t k = config.negative_samples;
   Rng rng(config.seed ^ 0x5EEDFACEULL);
-  NegativeDraws draws(negatives, rng);
-  TermBlock block;
 
   for (const graph::NodeId node : new_nodes) {
     const std::span<const graph::Neighbor> neighbors =
@@ -474,10 +364,8 @@ void RefineLoop(Kernels& kernels, const Graph& graph,
     }
     Scale(node_ego, 1.0 / weight_sum);
     Scale(node_context, 1.0 / weight_sum);
-    // Rows resolved once for the whole refinement: the mutable accesses
-    // above copied a shared chunk if any had to, and the steps below write
-    // only the node's own two rows, so no row moves under them.
-    rows.Resolve();
+    // The mutable accesses above copied a shared chunk if any had to, and
+    // the steps below write only these two rows, so they stay put.
     double* const ego = node_ego.data();
     double* const context = node_context.data();
 
@@ -494,11 +382,10 @@ void RefineLoop(Kernels& kernels, const Graph& graph,
           lr0 * (1.0 - static_cast<double>(s) /
                            static_cast<double>(iterations)));
       const graph::NodeId target = neighbors[local_edges.Sample(rng)].node;
-      draws.Start(mirrored ? 2 * k : k);
-      FrozenTerm(kernels, ego, context_row, target, draws, k, lr, block);
+      FrozenTerm(kernels, ego, context_row, target, negatives, k, lr, rng);
       kernels.ApplyGradient(ego);
-      if (mirrored) {
-        FrozenTerm(kernels, context, ego_row, target, draws, k, lr, block);
+      if (config.objective == Objective::kELine) {
+        FrozenTerm(kernels, context, ego_row, target, negatives, k, lr, rng);
         kernels.ApplyGradient(context);
       }
     }

@@ -103,7 +103,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -173,33 +172,45 @@ int Usage() {
   return 1;
 }
 
-/// Every flag main() reads; each takes one value.
-constexpr const char* kFlags[] = {
-    "--model", "--default", "--host", "--port", "--threads", "--event-workers",
-    "--idle-timeout-ms", "--max-inflight", "--max-queue-depth", "--port-file",
-    "--journal-dir", "--ingest-batch", "--ingest-max-delay-ms",
-    "--ingest-max-pending", "--store-dir", "--compact-every-n-folds",
-    "--max-journal-bytes", "--admin-port", "--admin-port-file",
-    "--slow-request-us", "--simd",
-};
+/// The daemon's flag arguments, each flag followed by one value. Every
+/// lookup records the flag it asked for, so once main() has read them all,
+/// AllRead rejects whatever it never asked for: the one list of accepted
+/// flags is main()'s own lookups.
+class DaemonFlags {
+ public:
+  explicit DaemonFlags(std::vector<std::string> args)
+      : args_(std::move(args)) {}
 
-/// Checks that `args` is a sequence of known flags, each followed by its
-/// value. On the first violation prints it with the usage text and returns
-/// false.
-bool FlagsAreKnown(const std::vector<std::string>& args) {
-  for (std::size_t i = 0; i < args.size(); i += 2) {
-    const bool known = std::find(std::begin(kFlags), std::end(kFlags),
-                                 args[i]) != std::end(kFlags);
-    if (!known || i + 1 == args.size()) {
-      std::fprintf(stderr, "grafics_served: %s '%s'\n",
-                   known ? "missing value for flag" : "unknown argument",
-                   args[i].c_str());
-      Usage();
-      return false;
-    }
+  std::string Value(const std::string& flag, const std::string& fallback) {
+    read_.push_back(flag);
+    return FlagValue(args_, flag, fallback);
   }
-  return true;
-}
+  std::vector<std::string> Values(const std::string& flag) {
+    read_.push_back(flag);
+    return FlagValues(args_, flag);
+  }
+
+  /// Checks that the arguments are read flags, each followed by its value.
+  /// On the first violation prints it with the usage text and returns false.
+  bool AllRead() const {
+    for (std::size_t i = 0; i < args_.size(); i += 2) {
+      const bool known =
+          std::find(read_.begin(), read_.end(), args_[i]) != read_.end();
+      if (!known || i + 1 == args_.size()) {
+        std::fprintf(stderr, "grafics_served: %s '%s'\n",
+                     known ? "missing value for flag" : "unknown argument",
+                     args_[i].c_str());
+        Usage();
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::vector<std::string> args_;
+  std::vector<std::string> read_;
+};
 
 /// Splits "NAME=PATH" on the first '='; both halves must be non-empty.
 std::pair<std::string, std::string> ParseModelFlag(const std::string& text) {
@@ -266,45 +277,44 @@ int main(int argc, char** argv) {
     positional_model = argv[1];
     first_flag = 2;
   }
-  const std::vector<std::string> args(argv + first_flag, argv + argc);
-  if (!FlagsAreKnown(args)) return 2;
+  DaemonFlags flags(std::vector<std::string>(argv + first_flag, argv + argc));
   try {
     serve::ServerConfig config;
-    config.host = FlagValue(args, "--host", "127.0.0.1");
+    config.host = flags.Value("--host", "127.0.0.1");
     config.port = static_cast<std::uint16_t>(ParseUnsigned(
-        FlagValue(args, "--port", std::to_string(serve::kDefaultPort)), 65535,
+        flags.Value("--port", std::to_string(serve::kDefaultPort)), 65535,
         "--port"));
     config.event_workers = static_cast<std::size_t>(ParseUnsigned(
-        FlagValue(args, "--event-workers", "2"), 256, "--event-workers"));
+        flags.Value("--event-workers", "2"), 256, "--event-workers"));
     Require(config.event_workers >= 1, "--event-workers must be >= 1");
     config.idle_timeout = std::chrono::milliseconds(
-        ParseUnsigned(FlagValue(args, "--idle-timeout-ms", "60000"), 86400000,
+        ParseUnsigned(flags.Value("--idle-timeout-ms", "60000"), 86400000,
                       "--idle-timeout-ms"));
     config.max_inflight_per_connection = static_cast<std::size_t>(
-        ParseUnsigned(FlagValue(args, "--max-inflight", "64"), 1 << 20,
+        ParseUnsigned(flags.Value("--max-inflight", "64"), 1 << 20,
                       "--max-inflight"));
     config.max_queue_depth = static_cast<std::size_t>(ParseUnsigned(
-        FlagValue(args, "--max-queue-depth", "0"), 1 << 24,
+        flags.Value("--max-queue-depth", "0"), 1 << 24,
         "--max-queue-depth"));
     const auto predict_threads = static_cast<std::size_t>(ParseUnsigned(
-        FlagValue(args, "--threads", "1"), 4096, "--threads"));
-    const std::string port_file = FlagValue(args, "--port-file", "");
+        flags.Value("--threads", "1"), 4096, "--threads"));
+    const std::string port_file = flags.Value("--port-file", "");
     ingest::IngestConfig ingest_config;
-    ingest_config.journal_dir = FlagValue(args, "--journal-dir", "");
+    ingest_config.journal_dir = flags.Value("--journal-dir", "");
     ingest_config.fold_batch_size = static_cast<std::size_t>(ParseUnsigned(
-        FlagValue(args, "--ingest-batch", "64"), 1 << 20, "--ingest-batch"));
+        flags.Value("--ingest-batch", "64"), 1 << 20, "--ingest-batch"));
     ingest_config.max_delay = std::chrono::milliseconds(
-        ParseUnsigned(FlagValue(args, "--ingest-max-delay-ms", "200"), 600000,
+        ParseUnsigned(flags.Value("--ingest-max-delay-ms", "200"), 600000,
                       "--ingest-max-delay-ms"));
     ingest_config.max_pending = static_cast<std::size_t>(
-        ParseUnsigned(FlagValue(args, "--ingest-max-pending", "4096"),
+        ParseUnsigned(flags.Value("--ingest-max-pending", "4096"),
                       1 << 24, "--ingest-max-pending"));
-    const std::string store_dir = FlagValue(args, "--store-dir", "");
+    const std::string store_dir = flags.Value("--store-dir", "");
     ingest_config.compact_every_n_folds = static_cast<std::size_t>(
-        ParseUnsigned(FlagValue(args, "--compact-every-n-folds", "0"),
+        ParseUnsigned(flags.Value("--compact-every-n-folds", "0"),
                       1 << 24, "--compact-every-n-folds"));
     ingest_config.max_journal_bytes = ParseUnsigned(
-        FlagValue(args, "--max-journal-bytes", "0"), UINT64_MAX,
+        flags.Value("--max-journal-bytes", "0"), UINT64_MAX,
         "--max-journal-bytes");
     Require((ingest_config.compact_every_n_folds == 0 &&
              ingest_config.max_journal_bytes == 0) ||
@@ -312,24 +322,26 @@ int main(int argc, char** argv) {
             "--compact-every-n-folds / --max-journal-bytes require both "
             "--store-dir and --journal-dir");
     config.slow_request_us = ParseUnsigned(
-        FlagValue(args, "--slow-request-us", "0"), UINT64_MAX,
+        flags.Value("--slow-request-us", "0"), UINT64_MAX,
         "--slow-request-us");
-    const std::string admin_port_flag = FlagValue(args, "--admin-port", "");
+    const std::string admin_port_flag = flags.Value("--admin-port", "");
     const std::string admin_port_file =
-        FlagValue(args, "--admin-port-file", "");
+        flags.Value("--admin-port-file", "");
     obs::AdminServerConfig admin_config;
     admin_config.host = config.host;
     if (!admin_port_flag.empty()) {
       admin_config.port = static_cast<std::uint16_t>(
           ParseUnsigned(admin_port_flag, 65535, "--admin-port"));
     }
-    const std::vector<std::string> model_flags = FlagValues(args, "--model");
+    const std::vector<std::string> model_flags = flags.Values("--model");
+    const std::string simd_flag = flags.Value("--simd", "");
+    const std::string default_name = flags.Value("--default", "");
+    if (!flags.AllRead()) return 2;
     if (positional_model.empty() && model_flags.empty()) return Usage();
 
     // Pin the vector-kernel backend before anything numeric runs (model
     // load replays journals through the trainer). --simd is a hard error on
     // an unavailable backend, unlike the GRAFICS_SIMD env fallback.
-    const std::string simd_flag = FlagValue(args, "--simd", "");
     if (!simd_flag.empty()) {
       Require(simd::PinBackend(simd::ParseBackendName(simd_flag.c_str())),
               "--simd " + simd_flag + ": backend unavailable on this "
@@ -382,7 +394,6 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
       LoadStartupModel(*registry, name, path);
     }
-    const std::string default_name = FlagValue(args, "--default", "");
     if (!default_name.empty()) registry->SetDefaultModel(default_name);
 
     // Online ingestion: one journal per model under --journal-dir, replayed

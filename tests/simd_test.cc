@@ -2,8 +2,8 @@
 // alignments, NaN/inf propagation, backend selection (GRAFICS_SIMD /
 // PinBackend), and the bit-identity anchors — seeded RefineNewNodes runs
 // whose golden values were captured from the pre-SIMD kernels (scalar,
-// dim 8) and from the dispatched kernels (AVX2, dims 16/32/64, and the
-// serving overlay path).
+// dim 8) and from the dispatched kernels (AVX2, dims 16/32/64, the fold
+// path and the serving overlay path).
 //
 // Suite order matters and is encoded in declaration order: SimdEnvTest runs
 // first (it observes the process-wide dispatch before anything pins it),
@@ -398,8 +398,8 @@ TEST(SimdGoldenTest, Avx2BackendReproducesDispatchedRefineRun) {
   ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
 
   // On this small graph the two reduction orders happen to round alike at
-  // dims 8 and 16 (the wide-dim and overlay goldens below are where they
-  // part), so these equal the scalar anchor's values.
+  // dims 8 and 16 (the wide-dim, fold and overlay goldens below are where
+  // they part), so these equal the scalar anchor's values.
   const double kGoldenEgo[8] = {
       -0.034028237245881714, 0.013271457364177671, 0.033890079274176844,
       0.045236679827145493,  -0.027931263889281969, -0.032403083282112104,
@@ -448,21 +448,31 @@ TEST(SimdGoldenTest, OtherDimsReproduceDispatchedRefineRun) {
   ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
 }
 
-/// The serving path: a campus model, one Update (the store fold path),
-/// then 50 held-out scans through one InferenceContext (the overlay path).
-/// Hashes every accepted query embedding, in scan order.
-std::uint64_t OverlayQueryHash() {
-  core::GraficsConfig config;
-  config.trainer.samples_per_edge = 40;
-  config.online_refine_iterations = 200;
-  core::Grafics system(config);
+/// The campus model the serving-path goldens share: trains `system` and
+/// returns the held-out scans.
+std::vector<rf::SignalRecord> TrainCampus(core::Grafics& system) {
   auto building = synth::CampusBuildingConfig(/*seed=*/71, 100);
   rf::Dataset dataset = building.MakeSimulator().GenerateDataset();
   Rng split_rng(72);
   auto [train, test] = dataset.TrainTestSplit(0.7, split_rng);
   train.KeepLabelsPerFloor(4, split_rng);
   system.Train(train.records());
-  const std::vector<rf::SignalRecord>& held_out = test.records();
+  return test.records();
+}
+
+core::GraficsConfig CampusConfig() {
+  core::GraficsConfig config;
+  config.trainer.samples_per_edge = 40;
+  config.online_refine_iterations = 200;
+  return config;
+}
+
+/// The serving path: a campus model, one Update (the store fold path),
+/// then 50 held-out scans through one InferenceContext (the overlay path).
+/// Hashes every accepted query embedding, in scan order.
+std::uint64_t OverlayQueryHash() {
+  core::Grafics system(CampusConfig());
+  const std::vector<rf::SignalRecord> held_out = TrainCampus(system);
   std::vector<rf::SignalRecord> fold(held_out.begin(), held_out.begin() + 8);
   system.Update(fold);
   core::InferenceContext context = system.MakeContext();
@@ -475,6 +485,34 @@ std::uint64_t OverlayQueryHash() {
   }
   EXPECT_GT(accepted, 40u);
   return hash;
+}
+
+/// The fold path alone: the same model and Update, hashing the (ego,
+/// context) rows of every node the Update added, in node order.
+std::uint64_t FoldedRowsHash() {
+  core::Grafics system(CampusConfig());
+  const std::vector<rf::SignalRecord> held_out = TrainCampus(system);
+  const std::size_t nodes_before = system.graph().NumNodes();
+  system.Update({held_out.begin(), held_out.begin() + 8});
+  const embed::EmbeddingStore& store = system.embedding_store();
+  EXPECT_GT(store.num_nodes(), nodes_before);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (graph::NodeId n = nodes_before; n < store.num_nodes(); ++n) {
+    hash = Fnv1a(store.Context(n), Fnv1a(store.Ego(n), hash));
+  }
+  return hash;
+}
+
+// Captured from the dispatched-kernel build like the goldens above. At
+// dim 8 the scalar and AVX2 orders part on this fold, so it pins which
+// order the fold path runs on each backend.
+TEST(SimdGoldenTest, FoldPathReproducesDispatchedRows) {
+  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
+  EXPECT_EQ(FoldedRowsHash(), 0x8e9852736231593dULL);
+  if (simd::PinBackend(simd::Backend::kAvx2)) {
+    EXPECT_EQ(FoldedRowsHash(), 0x7ef61b53cffcbbf5ULL);
+  }
+  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
 }
 
 TEST(SimdGoldenTest, OverlayPathReproducesDispatchedQueryEmbeddings) {
