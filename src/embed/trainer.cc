@@ -299,6 +299,8 @@ void FrozenTerm(Kernels& kernels, const double* src,
                 const NegativeSamplerSet& negatives, std::size_t k, double lr,
                 Rng& rng) {
   constexpr std::size_t kBlock = 16;
+  // Not zeroed: a slot is read only after this block wrote it, and zeroing
+  // both arrays on every term made BM_RefineOverlay/600 10-16% slower.
   const double* rows[kBlock];
   double scores[kBlock];
   double* const grad = kernels.grad.data();
