@@ -96,6 +96,40 @@ std::string RejectReason(const rf::SignalRecord& record) {
 
 }  // namespace
 
+IngestPipeline::Instruments::Instruments(obs::Registry& obs,
+                                         const std::string& name) {
+  const obs::Labels labels = {{"model", name}};
+  accepted = obs.GetCounter("grafics_ingest_accepted_total",
+                            "Records validated, journaled, and acknowledged.",
+                            labels);
+  rejected = obs.GetCounter(
+      "grafics_ingest_rejected_total",
+      "Records refused (validation, backpressure, journal failure).", labels);
+  folded = obs.GetCounter("grafics_ingest_folded_total",
+                          "Records folded into a published snapshot.", labels);
+  publishes = obs.GetCounter("grafics_ingest_publishes_total",
+                             "Fold-in publishes through the model registry.",
+                             labels);
+  backlog = obs.GetGauge(
+      "grafics_ingest_backlog",
+      "Records accepted but not yet folded (pending + in flight).", labels);
+  journal_bytes = obs.GetGauge(
+      "grafics_ingest_journal_bytes",
+      "Current size of the model's journal epoch file.", labels);
+  journal_fsync_us = obs.GetHistogram(
+      "grafics_ingest_journal_fsync_us",
+      "Microseconds one journal Append (write + fdatasync) took.",
+      obs::DefaultLatencyBucketsUs(), labels);
+  fold_us = obs.GetHistogram(
+      "grafics_ingest_fold_us",
+      "Microseconds one fold (fork + Update + publish) took.",
+      obs::DefaultLatencyBucketsUs(), labels);
+  compaction_us = obs.GetHistogram(
+      "grafics_ingest_compaction_us",
+      "Microseconds one committed journal compaction took.",
+      obs::DefaultLatencyBucketsUs(), labels);
+}
+
 std::string JournalFileName(const std::string& model_name) {
   static constexpr char kHex[] = "0123456789ABCDEF";
   std::string file;
@@ -126,14 +160,9 @@ IngestPipeline::IngestPipeline(std::shared_ptr<serve::ModelRegistry> registry,
   Require(config_.max_pending >= 1, "IngestPipeline: max_pending >= 1");
   registry_->SetIngestDepthProbe(
       [this](const std::string& name) { return PendingDepth(name); });
-  if (config_.obs != nullptr) {
-    obs_hook_.Attach(config_.obs, [this] { SyncObs(); });
-  }
 }
 
 IngestPipeline::~IngestPipeline() {
-  // Quiesce the scrape hook before the entries it walks start dying.
-  obs_hook_.Detach();
   Stop();
   registry_->SetIngestDepthProbe(nullptr);
 }
@@ -147,28 +176,11 @@ void IngestPipeline::Attach(const std::string& name) {
   // into served models.
   std::shared_ptr<const core::Grafics> snapshot = registry_->Snapshot(name);
 
-  auto entry = std::make_shared<Entry>();
-  entry->name = name;
-  if (config_.obs != nullptr) {
-    const obs::Labels labels = {{"model", name}};
-    entry->obs.journal_fsync_us = config_.obs->GetHistogram(
-        "grafics_ingest_journal_fsync_us",
-        "Microseconds one journal Append (write + fdatasync) took.",
-        obs::DefaultLatencyBucketsUs(), labels);
-    entry->obs.fold_us = config_.obs->GetHistogram(
-        "grafics_ingest_fold_us",
-        "Microseconds one fold (fork + Update + publish) took.",
-        obs::DefaultLatencyBucketsUs(), labels);
-    entry->obs.compaction_us = config_.obs->GetHistogram(
-        "grafics_ingest_compaction_us",
-        "Microseconds one committed journal compaction took.",
-        obs::DefaultLatencyBucketsUs(), labels);
-  }
+  auto entry = std::make_shared<Entry>(*registry_->obs(), name);
   // Entry not yet published, but the worker thread spawned below reads all
   // of this under entry->mutex — initialize under it too so the
   // happens-before edge is the lock, not the std::thread constructor.
   const MutexLock entry_lock(&entry->mutex);
-  entry->stats.name = name;
   if (!config_.journal_dir.empty()) {
     if (config_.model_store != nullptr) {
       // The manifest names the journal epoch that pairs with the store's
@@ -187,9 +199,9 @@ void IngestPipeline::Attach(const std::string& name) {
                    static_cast<unsigned long long>(replay.dropped_bytes),
                    entry->journal->path().c_str());
     }
-    entry->stats.journal_dropped_bytes = replay.dropped_bytes;
-    entry->stats.replayed_batches = replay.folded_batches.size();
-    entry->stats.replayed = replay.TotalRecords();
+    entry->journal_dropped_bytes = replay.dropped_bytes;
+    entry->replayed_batches = replay.folded_batches.size();
+    entry->replayed = replay.TotalRecords();
     if (!replay.folded_batches.empty()) {
       // Re-apply the committed folds with their original batch boundaries
       // (one Update call per recorded publish), then publish once: the
@@ -208,9 +220,9 @@ void IngestPipeline::Attach(const std::string& name) {
       registry_->Load(name,
                       std::make_shared<const core::Grafics>(std::move(updated)),
                       {}, serve::PublishSource::kIngest);
-      entry->stats.folded = folded;
-      entry->stats.publishes = 1;
-      entry->stats.last_publish_generation = registry_->generation(name);
+      entry->metrics.folded->Add(folded);
+      entry->metrics.publishes->Add();
+      entry->last_publish_generation = registry_->generation(name);
     }
     // Records accepted but never folded re-enter the queue; the background
     // worker folds them like any fresh submission (and only then writes
@@ -219,8 +231,11 @@ void IngestPipeline::Attach(const std::string& name) {
     for (rf::SignalRecord& record : replay.unfolded) {
       entry->pending.push_back({std::move(record), now});
     }
-    entry->stats.journal_bytes = entry->journal->bytes();
   }
+  // The gauges are per model name: a pipeline attaching a name again
+  // overwrites what an earlier one left there.
+  SetBacklog(*entry);
+  SetJournalBytes(*entry);
   Entry* raw = entry.get();
   entry->worker = std::thread([this, raw] { WorkerLoop(*raw); });
   entries_.emplace(name, std::move(entry));
@@ -267,7 +282,7 @@ std::vector<SubmitResult> IngestPipeline::Submit(
     accepted.push_back(std::move(records[i]));
   }
   if (accepted.empty()) {
-    entry->stats.rejected += records.size();
+    entry->metrics.rejected->Add(records.size());
     return results;
   }
   // Pass 2: make the accepted set durable BEFORE acknowledging. A journal
@@ -277,20 +292,18 @@ std::vector<SubmitResult> IngestPipeline::Submit(
     try {
       const auto append_start = std::chrono::steady_clock::now();
       entry->journal->Append(accepted);
-      if (entry->obs.journal_fsync_us != nullptr) {
-        entry->obs.journal_fsync_us->Observe(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - append_start)
-                .count()));
-      }
-      entry->stats.journal_bytes = entry->journal->bytes();
+      entry->metrics.journal_fsync_us->Observe(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - append_start)
+              .count()));
+      SetJournalBytes(*entry);
     } catch (const std::exception& e) {
       for (SubmitResult& result : results) {
         if (!result.accepted) continue;
         result.accepted = false;
         result.error = e.what();
       }
-      entry->stats.rejected += records.size();
+      entry->metrics.rejected->Add(records.size());
       return results;
     }
   }
@@ -298,8 +311,9 @@ std::vector<SubmitResult> IngestPipeline::Submit(
   for (rf::SignalRecord& record : accepted) {
     entry->pending.push_back({std::move(record), now});
   }
-  entry->stats.accepted += accepted.size();
-  entry->stats.rejected += records.size() - accepted.size();
+  entry->metrics.accepted->Add(accepted.size());
+  entry->metrics.rejected->Add(records.size() - accepted.size());
+  SetBacklog(*entry);
   entry->wake.NotifyOne();
   return results;
 }
@@ -318,9 +332,28 @@ std::vector<serve::IngestModelStats> IngestPipeline::Stats(
   std::vector<serve::IngestModelStats> stats;
   stats.reserve(entries.size());
   for (const std::shared_ptr<Entry>& entry : entries) {
+    // Under the entry mutex, which every update below happens under too:
+    // the counters read as one coherent snapshot.
+    const Instruments& metrics = entry->metrics;
     const MutexLock lock(&entry->mutex);
-    serve::IngestModelStats s = entry->stats;
-    s.pending = entry->pending.size() + entry->in_flight;
+    serve::IngestModelStats s;
+    s.name = entry->name;
+    s.accepted = metrics.accepted->value();
+    s.rejected = metrics.rejected->value();
+    s.pending = static_cast<std::uint64_t>(metrics.backlog->value());
+    s.folded = metrics.folded->value();
+    s.replayed = entry->replayed;
+    s.journal_bytes =
+        static_cast<std::uint64_t>(metrics.journal_bytes->value());
+    s.publishes = metrics.publishes->value();
+    s.last_publish_generation = entry->last_publish_generation;
+    s.fold_min_us = entry->fold_min_us.value_or(0);
+    const std::uint64_t folds = metrics.fold_us->count();
+    s.fold_mean_us = folds == 0 ? 0 : metrics.fold_us->sum() / folds;
+    s.fold_max_us = entry->fold_max_us;
+    s.last_fold_us = entry->last_fold_us;
+    s.journal_dropped_bytes = entry->journal_dropped_bytes;
+    s.replayed_batches = entry->replayed_batches;
     stats.push_back(std::move(s));
   }
   return stats;
@@ -328,9 +361,9 @@ std::vector<serve::IngestModelStats> IngestPipeline::Stats(
 
 std::uint64_t IngestPipeline::PendingDepth(const std::string& name) const {
   const std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return 0;
-  const MutexLock lock(&entry->mutex);
-  return entry->pending.size() + entry->in_flight;
+  return entry == nullptr
+             ? 0
+             : static_cast<std::uint64_t>(entry->metrics.backlog->value());
 }
 
 bool IngestPipeline::WaitUntilDrained(std::chrono::milliseconds timeout) {
@@ -428,17 +461,15 @@ void IngestPipeline::WorkerLoop(Entry& entry) {
     entry.mutex.Lock();
     entry.in_flight = 0;
     if (outcome.generation != 0) {
-      entry.stats.folded += take;
-      ++entry.stats.publishes;
-      entry.stats.last_publish_generation = outcome.generation;
+      entry.metrics.folded->Add(take);
+      entry.metrics.publishes->Add();
+      SetBacklog(entry);
+      entry.last_publish_generation = outcome.generation;
       RecordFoldLatency(entry, outcome.micros);
-      if (entry.obs.fold_us != nullptr) {
-        entry.obs.fold_us->Observe(outcome.micros);
-      }
       if (entry.journal != nullptr) {
         try {
           entry.journal->CommitFold(take);
-          entry.stats.journal_bytes = entry.journal->bytes();
+          SetJournalBytes(entry);
         } catch (const std::exception& e) {
           // The fold itself is published; a missing commit frame only makes
           // the next replay fold these records as part of a later batch.
@@ -448,7 +479,6 @@ void IngestPipeline::WorkerLoop(Entry& entry) {
       }
       ++entry.folds_since_compaction;
     } else {
-      ++entry.fold_failures;
       if (entry.stopping) {
         // Shutdown drain: the records stay journaled without a commit
         // frame, so the next start replays them as unfolded. No later
@@ -581,21 +611,18 @@ void IngestPipeline::Compact(Entry& entry) {
   }
   entry.journal = std::move(fresh);  // closes the old epoch's fd
   entry.journal_epoch = new_epoch;
-  entry.stats.journal_bytes = entry.journal->bytes();
+  SetJournalBytes(entry);
+  const std::uint64_t new_bytes = entry.journal->bytes();
   const std::uint64_t reclaimed =
-      old_bytes > entry.stats.journal_bytes
-          ? old_bytes - entry.stats.journal_bytes
-          : 0;
+      old_bytes > new_bytes ? old_bytes - new_bytes : 0;
   entry.journal_bytes_reclaimed += reclaimed;
   entry.last_compaction_generation = staged.generation;
   entry.last_compaction_reclaimed = reclaimed;
   ::unlink(old_path.c_str());
-  if (entry.obs.compaction_us != nullptr) {
-    entry.obs.compaction_us->Observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - compaction_start)
-            .count()));
-  }
+  entry.metrics.compaction_us->Observe(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - compaction_start)
+          .count()));
   FinishCompaction(entry, {});
 }
 
@@ -675,14 +702,20 @@ IngestPipeline::FoldOutcome IngestPipeline::FoldAndPublish(
 }
 
 void IngestPipeline::RecordFoldLatency(Entry& entry, std::uint64_t micros) {
-  ++entry.fold_count;
-  entry.fold_total_us += micros;
-  serve::IngestModelStats& stats = entry.stats;
-  stats.last_fold_us = micros;
-  stats.fold_min_us =
-      entry.fold_count == 1 ? micros : std::min(stats.fold_min_us, micros);
-  stats.fold_max_us = std::max(stats.fold_max_us, micros);
-  stats.fold_mean_us = entry.fold_total_us / entry.fold_count;
+  entry.metrics.fold_us->Observe(micros);
+  entry.last_fold_us = micros;
+  entry.fold_min_us = std::min(entry.fold_min_us.value_or(micros), micros);
+  entry.fold_max_us = std::max(entry.fold_max_us, micros);
+}
+
+void IngestPipeline::SetBacklog(Entry& entry) {
+  entry.metrics.backlog->Set(
+      static_cast<std::int64_t>(entry.pending.size() + entry.in_flight));
+}
+
+void IngestPipeline::SetJournalBytes(Entry& entry) {
+  entry.metrics.journal_bytes->Set(static_cast<std::int64_t>(
+      entry.journal == nullptr ? 0 : entry.journal->bytes()));
 }
 
 std::shared_ptr<IngestPipeline::Entry> IngestPipeline::Find(
@@ -690,35 +723,6 @@ std::shared_ptr<IngestPipeline::Entry> IngestPipeline::Find(
   const MutexLock lock(&mutex_);
   const auto it = entries_.find(name);
   return it == entries_.end() ? nullptr : it->second;
-}
-
-void IngestPipeline::SyncObs() const {
-  obs::Registry& obs = *config_.obs;
-  for (const serve::IngestModelStats& stats : Stats()) {
-    const obs::Labels labels = {{"model", stats.name}};
-    obs.GetCounter("grafics_ingest_accepted_total",
-                   "Records validated, journaled, and acknowledged.", labels)
-        ->SyncTo(stats.accepted);
-    obs.GetCounter("grafics_ingest_rejected_total",
-                   "Records refused (validation, backpressure, journal "
-                   "failure).",
-                   labels)
-        ->SyncTo(stats.rejected);
-    obs.GetCounter("grafics_ingest_folded_total",
-                   "Records folded into a published snapshot.", labels)
-        ->SyncTo(stats.folded);
-    obs.GetCounter("grafics_ingest_publishes_total",
-                   "Fold-in publishes through the model registry.", labels)
-        ->SyncTo(stats.publishes);
-    obs.GetGauge("grafics_ingest_backlog",
-                 "Records accepted but not yet folded (pending + in "
-                 "flight).",
-                 labels)
-        ->Set(static_cast<std::int64_t>(stats.pending));
-    obs.GetGauge("grafics_ingest_journal_bytes",
-                 "Current size of the model's journal epoch file.", labels)
-        ->Set(static_cast<std::int64_t>(stats.journal_bytes));
-  }
 }
 
 }  // namespace grafics::ingest

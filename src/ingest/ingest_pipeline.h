@@ -24,6 +24,10 @@
 // limit. Per-fold latency (fork + Update + publish) is tracked and surfaced
 // through IngestStats.
 //
+// Every per-model counter and gauge IngestStats reports is an instrument in
+// the model registry's obs registry, updated under the model's entry mutex
+// when its event happens; Stats reads them back.
+//
 // With a journal directory configured, Attach replays the journal before
 // serving: committed fold batches are re-applied with the same batch
 // boundaries the live daemon used (see record_journal.h on why that makes
@@ -36,6 +40,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,11 +79,6 @@ struct IngestConfig {
   std::size_t compact_every_n_folds = 0;
   /// Compact when the journal exceeds this many bytes (0 = no byte bound).
   std::uint64_t max_journal_bytes = 0;
-  /// Telemetry registry; null records nothing. Per-model latency histograms
-  /// (journal fsync, fold, compaction) are resolved at Attach time, and the
-  /// ingest counters/gauges are synced by a collection hook at every
-  /// scrape.
-  std::shared_ptr<obs::Registry> obs;
 };
 
 /// One submitted record's fate, the in-process twin of the wire-level
@@ -118,7 +118,8 @@ class IngestPipeline {
                                    std::vector<rf::SignalRecord> records);
 
   /// Per-model ingest counters, sorted by name. A non-empty `name_filter`
-  /// returns only that model's entry (empty result for unknown names).
+  /// returns only that model's entry (empty result for unknown names). The
+  /// counters count since the name was first attached on the registry.
   std::vector<serve::IngestModelStats> Stats(
       const std::string& name_filter = {}) const;
 
@@ -163,26 +164,44 @@ class IngestPipeline {
     std::chrono::steady_clock::time_point enqueued;
   };
 
+  /// A model's ingest instruments, resolved by name in Attach.
+  struct Instruments {
+    Instruments(obs::Registry& obs, const std::string& name);
+
+    obs::Counter* accepted;
+    obs::Counter* rejected;
+    obs::Counter* folded;
+    obs::Counter* publishes;
+    /// Accepted records not yet folded: pending + in flight.
+    obs::Gauge* backlog;
+    obs::Gauge* journal_bytes;
+    obs::Histogram* journal_fsync_us;
+    /// Its sum/count is the mean fold latency IngestStats reports.
+    obs::Histogram* fold_us;
+    obs::Histogram* compaction_us;
+  };
+
   struct Entry {
-    std::string name;  // immutable after Attach
-    /// Telemetry handles (any may be null), resolved in Attach before the
-    /// worker spawns and immutable after — read lock-free like `name`.
-    struct {
-      obs::Histogram* journal_fsync_us = nullptr;
-      obs::Histogram* fold_us = nullptr;
-      obs::Histogram* compaction_us = nullptr;
-    } obs;
+    Entry(obs::Registry& obs, const std::string& model)
+        : name(model), metrics(obs, model) {}
+
+    const std::string name;
+    const Instruments metrics;
     mutable Mutex mutex;
     CondVar wake;
     std::deque<PendingRecord> pending GRAFICS_GUARDED_BY(mutex);
     /// Records drained by the worker but not yet published; Stats and the
     /// registry probe count them as pending so "pending == 0" means folded.
     std::size_t in_flight GRAFICS_GUARDED_BY(mutex) = 0;
-    serve::IngestModelStats stats GRAFICS_GUARDED_BY(mutex);
-    /// Accumulators behind stats.fold_*_us (mean needs the running total).
-    std::uint64_t fold_count GRAFICS_GUARDED_BY(mutex) = 0;
-    std::uint64_t fold_total_us GRAFICS_GUARDED_BY(mutex) = 0;
-    std::uint64_t fold_failures GRAFICS_GUARDED_BY(mutex) = 0;
+    /// What IngestStats reports beside the instruments: the startup replay,
+    /// the latest publish, and this pipeline's fold latency extremes.
+    std::uint64_t replayed GRAFICS_GUARDED_BY(mutex) = 0;
+    std::uint64_t replayed_batches GRAFICS_GUARDED_BY(mutex) = 0;
+    std::uint64_t journal_dropped_bytes GRAFICS_GUARDED_BY(mutex) = 0;
+    std::uint64_t last_publish_generation GRAFICS_GUARDED_BY(mutex) = 0;
+    std::uint64_t last_fold_us GRAFICS_GUARDED_BY(mutex) = 0;
+    std::optional<std::uint64_t> fold_min_us GRAFICS_GUARDED_BY(mutex);
+    std::uint64_t fold_max_us GRAFICS_GUARDED_BY(mutex) = 0;
     std::unique_ptr<RecordJournal> journal GRAFICS_GUARDED_BY(mutex);
     /// Journal epoch the journal member is writing (file name suffix; 0 is
     /// the bare legacy name). Bumped by each committed compaction.
@@ -226,14 +245,15 @@ class IngestPipeline {
   FoldOutcome FoldAndPublish(Entry& entry,
                              const std::vector<rf::SignalRecord>& batch)
       GRAFICS_EXCLUDES(entry.mutex);
-  /// Folds one latency sample into entry.stats.
+  /// Folds one latency sample into the entry's fold statistics.
   static void RecordFoldLatency(Entry& entry, std::uint64_t micros)
       GRAFICS_REQUIRES(entry.mutex);
+  /// Sets the backlog gauge after pending or in_flight changed.
+  static void SetBacklog(Entry& entry) GRAFICS_REQUIRES(entry.mutex);
+  /// Sets the journal-bytes gauge after the journal grew or was replaced.
+  static void SetJournalBytes(Entry& entry) GRAFICS_REQUIRES(entry.mutex);
   std::shared_ptr<Entry> Find(const std::string& name) const
       GRAFICS_EXCLUDES(mutex_);
-  /// Collection-hook body: syncs per-model ingest counters/gauges into
-  /// config_.obs.
-  void SyncObs() const GRAFICS_EXCLUDES(mutex_);
 
   const IngestConfig config_;
   const std::shared_ptr<serve::ModelRegistry> registry_;
@@ -242,8 +262,6 @@ class IngestPipeline {
   std::map<std::string, std::shared_ptr<Entry>> entries_
       GRAFICS_GUARDED_BY(mutex_);
   bool stopped_ GRAFICS_GUARDED_BY(mutex_) = false;
-
-  obs::ScopedHook obs_hook_;  // detached in the destructor, before entries_
 };
 
 /// Journal file name for a model: every byte outside [A-Za-z0-9._-] is

@@ -147,8 +147,10 @@ void AdminServer::Start() {
   loop_config.workers = 1;  // scrape traffic never needs more
   loop_config.idle_timeout = config_.idle_timeout;
   loop_config.extractor = HttpExtract;
+  // A private obs registry: admin scrapes must not show up in the serving
+  // daemon's grafics_transport_* counts.
   loop_ = std::make_unique<serve::EventLoop>(
-      loop_config,
+      loop_config, std::make_shared<Registry>(),
       [this](std::string head, std::size_t /*inflight*/,
              serve::EventLoop::Completion done) {
         // Every response closes the connection: HTTP/1.0 semantics, and it

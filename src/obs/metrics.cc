@@ -119,8 +119,12 @@ Histogram::Histogram(std::vector<std::uint64_t> bounds)
 }
 
 std::vector<std::uint64_t> DefaultLatencyBucketsUs() {
-  return {50,    100,   250,   500,    1000,   2500,   5000,
-          10000, 25000, 50000, 100000, 250000, 500000, 1000000};
+  return {10,     20,     50,     55,     60,     65,     70,     75,
+          80,     90,     100,    110,    120,    130,    140,    150,
+          160,    180,    200,    220,    240,    260,    280,    300,
+          330,    360,    400,    440,    480,    520,    560,    600,
+          650,    700,    750,    800,    900,    1000,   2000,   5000,
+          10000,  20000,  50000,  100000, 200000, 500000, 1000000};
 }
 
 std::vector<std::uint64_t> PowerOfTwoBuckets(std::uint64_t max) {

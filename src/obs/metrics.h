@@ -5,16 +5,17 @@
 //
 //  * Instrument *resolution* (GetCounter / GetGauge / GetHistogram) takes a
 //    registry mutex, validates the name, and returns a stable raw pointer.
-//    Instrumented code resolves its handles once — at construction, load,
-//    or attach time — and never does a string lookup on a request path.
+//    Instrumented code resolves its handles once — at construction or load
+//    time — and never does a string lookup on a request path.
 //  * Instrument *updates* (Counter::Add, Gauge::Set, Histogram::Observe)
 //    are a handful of relaxed atomic operations. No locks, no allocation,
-//    safe from any thread, TSan-clean by construction.
+//    safe from any thread, TSan-clean by construction. Each instrument is
+//    the only home of its quantity: it is updated when the event happens,
+//    and in-process stats (the wire Stats replies) read it back.
 //  * *Rendering* (RenderPrometheus) takes the mutex again, runs registered
-//    collection hooks (for values that live elsewhere, e.g. per-model queue
-//    depths read off the model registry), and emits the text exposition
-//    format a Prometheus scraper expects. Scrapes are rare; their cost is
-//    irrelevant.
+//    collection hooks (for the few values that can only be computed at
+//    scrape time), and emits the text exposition format a Prometheus
+//    scraper expects. Scrapes are rare; their cost is irrelevant.
 //
 // Relaxed ordering is deliberate: each instrument is an independent
 // statistic, and a scrape that observes a count a few nanoseconds stale is
@@ -28,6 +29,7 @@
 // (tools/check_invariants.py cross-checks the sources against the doc).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -50,19 +52,6 @@ class Counter {
  public:
   void Add(std::uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  /// Raises the counter to `total` if it is currently lower — the bridge
-  /// for values maintained as lifetime totals elsewhere (EventLoopStats,
-  /// the model registry's dispatch totals) and synced into the registry by a
-  /// collection hook.
-  /// Monotonic by construction: a stale sync can never move it backward.
-  void SyncTo(std::uint64_t total) {
-    std::uint64_t current = value_.load(std::memory_order_relaxed);
-    while (total > current &&
-           !value_.compare_exchange_weak(current, total,
-                                         std::memory_order_relaxed)) {
-    }
   }
 
   std::uint64_t value() const {
@@ -100,8 +89,10 @@ class Gauge {
 class Histogram {
  public:
   void Observe(std::uint64_t value) {
-    std::size_t index = 0;
-    while (index < bounds_.size() && value > bounds_[index]) ++index;
+    // First edge >= value; bounds_.size() (the +Inf bucket) past the last.
+    const auto index = static_cast<std::size_t>(
+        std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+        bounds_.begin());
     buckets_[index].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
@@ -129,7 +120,9 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
 };
 
-/// ~50µs .. 1s latency edges, the default for every *_us histogram.
+/// 10µs .. 1s latency edges, the default for every *_us histogram: steps of
+/// about 10% from 50µs to 1ms, where a served predict's stages fall, and
+/// 1-2-5 steps outside that range.
 std::vector<std::uint64_t> DefaultLatencyBucketsUs();
 /// Powers of two 1..max (inclusive when max is itself a power of two).
 std::vector<std::uint64_t> PowerOfTwoBuckets(std::uint64_t max);
@@ -156,10 +149,11 @@ class Registry {
                           const Labels& labels = {});
 
   /// Collection hooks run at the start of every RenderPrometheus, outside
-  /// the registry mutex — the place to snapshot values that live elsewhere
-  /// (EventLoopStats, per-model queue depths) into gauges/counters. A hook
-  /// may resolve new instruments. Returns an id for RemoveHook; hooks whose
-  /// captured objects die before the registry must be removed first.
+  /// the registry mutex — only for values that can be computed nowhere but
+  /// at scrape time (the model registry's snapshot byte accounting, which
+  /// depends on the lifetimes of other snapshots). A hook may resolve new
+  /// instruments. Returns an id for RemoveHook; hooks whose captured
+  /// objects die before the registry must be removed first.
   std::uint64_t AddHook(std::function<void()> hook);
   void RemoveHook(std::uint64_t id);
 
@@ -200,9 +194,9 @@ class Registry {
 /// copied, so a hook that captures `this` of a shorter-lived object needs
 /// more: ScopedHook runs the callback under an internal mutex, and Detach()
 /// (or the destructor) blocks until an in-flight invocation finishes, then
-/// guarantees the callback never runs again. Every instrumented subsystem
-/// registers its sync hook through one of these and detaches it before the
-/// captured state dies.
+/// guarantees the callback never runs again. A subsystem that registers a
+/// hook does so through one of these and detaches it before the captured
+/// state dies.
 class ScopedHook {
  public:
   ScopedHook() = default;

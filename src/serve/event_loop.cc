@@ -83,9 +83,40 @@ void EventLoop::Completion::Send(std::string frame, bool close_after) const {
       ::write(mailbox_->event_fd, &one, sizeof(one));
 }
 
-EventLoop::EventLoop(EventLoopConfig config, FrameHandler on_frame,
+LoopInstruments::LoopInstruments(obs::Registry& obs)
+    : connections_live(
+          obs.GetGauge("grafics_transport_connections_live",
+                       "Connections currently owned by the event loop.")),
+      connections_harvested(obs.GetCounter(
+          "grafics_transport_connections_harvested_total",
+          "Idle connections closed by the harvest sweep.")),
+      frames_in(obs.GetCounter("grafics_transport_frames_in_total",
+                               "Complete request frames parsed.")),
+      frames_out(obs.GetCounter("grafics_transport_frames_out_total",
+                                "Reply frames fully written.")),
+      bytes_in(obs.GetCounter("grafics_transport_bytes_in_total",
+                              "Bytes read off client sockets.")),
+      bytes_out(obs.GetCounter("grafics_transport_bytes_out_total",
+                               "Bytes written to client sockets.")),
+      write_buffer_bytes(obs.GetGauge(
+          "grafics_transport_write_buffer_bytes",
+          "Reply bytes buffered waiting for socket writability.")),
+      harvest_sweeps(
+          obs.GetCounter("grafics_transport_harvest_sweeps_total",
+                         "Idle-harvest sweeps run across all workers.")),
+      harvest_last_sweep_us(
+          obs.GetGauge("grafics_transport_harvest_last_sweep_us",
+                       "Duration of the most recent idle-harvest sweep.")),
+      harvest_last_sweep_closed(obs.GetGauge(
+          "grafics_transport_harvest_last_sweep_closed",
+          "Connections closed by the most recent harvest sweep.")) {}
+
+EventLoop::EventLoop(EventLoopConfig config,
+                     std::shared_ptr<obs::Registry> obs, FrameHandler on_frame,
                      FramingErrorEncoder on_framing_error)
     : config_(config),
+      obs_(std::move(obs)),
+      metrics_(*obs_),
       on_frame_(std::move(on_frame)),
       on_framing_error_(std::move(on_framing_error)),
       extractor_(config_.extractor != nullptr
@@ -172,25 +203,6 @@ void EventLoop::Adopt(int fd) {
   ::close(fd);  // raced with Stop; the peer just sees a hang-up
 }
 
-EventLoopStats EventLoop::stats() const {
-  EventLoopStats stats;
-  stats.connections_live = connections_live_.load(std::memory_order_relaxed);
-  stats.connections_harvested_idle =
-      harvested_idle_.load(std::memory_order_relaxed);
-  stats.frames_in = frames_in_.load(std::memory_order_relaxed);
-  stats.frames_out = frames_out_.load(std::memory_order_relaxed);
-  stats.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  stats.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  stats.write_buffer_bytes =
-      write_buffer_bytes_.load(std::memory_order_relaxed);
-  stats.harvest_sweeps = harvest_sweeps_.load(std::memory_order_relaxed);
-  stats.harvest_last_sweep_us =
-      harvest_last_sweep_us_.load(std::memory_order_relaxed);
-  stats.harvest_last_sweep_closed =
-      harvest_last_sweep_closed_.load(std::memory_order_relaxed);
-  return stats;
-}
-
 void EventLoop::RunWorker(Worker& worker) {
   std::vector<epoll_event> events(64);
   std::string scratch(kReadChunk, '\0');
@@ -233,8 +245,9 @@ void EventLoop::RunWorker(Worker& worker) {
   }
   for (auto& [id, conn] : worker.conns) {
     ::close(conn.fd);
-    connections_live_.fetch_sub(1, std::memory_order_relaxed);
-    write_buffer_bytes_.fetch_sub(conn.out.size(), std::memory_order_relaxed);
+    metrics_.connections_live->Sub(1);
+    metrics_.write_buffer_bytes->Sub(
+        static_cast<std::int64_t>(conn.out.size()));
   }
   worker.conns.clear();
 }
@@ -260,17 +273,17 @@ void EventLoop::AddConn(Worker& worker, int fd) {
   conn.armed = EPOLLIN;
   conn.last_activity = std::chrono::steady_clock::now();
   worker.conns.emplace(id, std::move(conn));
-  connections_live_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.connections_live->Add(1);
 }
 
 void EventLoop::CloseConn(Worker& worker, std::uint64_t id) {
   const auto it = worker.conns.find(id);
   if (it == worker.conns.end()) return;
   ::close(it->second.fd);  // also removes the fd from the epoll set
-  write_buffer_bytes_.fetch_sub(it->second.out.size(),
-                                std::memory_order_relaxed);
+  metrics_.write_buffer_bytes->Sub(
+      static_cast<std::int64_t>(it->second.out.size()));
   worker.conns.erase(it);
-  connections_live_.fetch_sub(1, std::memory_order_relaxed);
+  metrics_.connections_live->Sub(1);
 }
 
 bool EventLoop::ReadConn(Worker& worker, Conn& conn, std::string& scratch) {
@@ -278,8 +291,7 @@ bool EventLoop::ReadConn(Worker& worker, Conn& conn, std::string& scratch) {
     const ssize_t n =
         ::recv(conn.fd, scratch.data(), scratch.size(), MSG_DONTWAIT);
     if (n > 0) {
-      bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
-                          std::memory_order_relaxed);
+      metrics_.bytes_in->Add(static_cast<std::uint64_t>(n));
       conn.in.append(scratch.data(), static_cast<std::size_t>(n));
       conn.last_activity = std::chrono::steady_clock::now();
       ParseFrames(worker, conn);
@@ -322,7 +334,7 @@ void EventLoop::ParseFrames(Worker& worker, Conn& conn) {
     }
     if (extracted.consumed == 0) return;  // defective extractor; don't spin
     conn.in.erase(0, extracted.consumed);
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.frames_in->Add();
     const std::uint64_t slot_index = conn.base_slot + conn.slots.size();
     conn.slots.emplace_back();
     ++conn.open_slots;
@@ -338,9 +350,9 @@ bool EventLoop::FlushConn(Worker& worker, Conn& conn) {
     Slot& slot = conn.slots.front();
     if (!slot.bytes.empty()) {
       conn.out.append(slot.bytes);
-      frames_out_.fetch_add(1, std::memory_order_relaxed);
-      write_buffer_bytes_.fetch_add(slot.bytes.size(),
-                                    std::memory_order_relaxed);
+      metrics_.frames_out->Add();
+      metrics_.write_buffer_bytes->Add(
+          static_cast<std::int64_t>(slot.bytes.size()));
     }
     const bool close_after = slot.close_after;
     conn.slots.pop_front();
@@ -362,8 +374,7 @@ bool EventLoop::FlushConn(Worker& worker, Conn& conn) {
                              MSG_DONTWAIT | MSG_NOSIGNAL);
     if (n > 0) {
       written += static_cast<std::size_t>(n);
-      bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
-                           std::memory_order_relaxed);
+      metrics_.bytes_out->Add(static_cast<std::uint64_t>(n));
       conn.last_activity = std::chrono::steady_clock::now();
       continue;
     }
@@ -375,7 +386,7 @@ bool EventLoop::FlushConn(Worker& worker, Conn& conn) {
     return false;
   }
   conn.out.erase(0, written);
-  write_buffer_bytes_.fetch_sub(written, std::memory_order_relaxed);
+  metrics_.write_buffer_bytes->Sub(static_cast<std::int64_t>(written));
   if (conn.out.empty() &&
       (conn.closing || (conn.peer_eof && conn.slots.empty()))) {
     CloseConn(worker, conn.id);
@@ -449,11 +460,11 @@ void EventLoop::HarvestIdle(Worker& worker) {
     if (conn.open_slots == 0 &&
         now - conn.last_activity > config_.idle_timeout) {
       ::close(conn.fd);
-      write_buffer_bytes_.fetch_sub(conn.out.size(),
-                                    std::memory_order_relaxed);
+      metrics_.write_buffer_bytes->Sub(
+          static_cast<std::int64_t>(conn.out.size()));
       it = worker.conns.erase(it);
-      connections_live_.fetch_sub(1, std::memory_order_relaxed);
-      harvested_idle_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.connections_live->Sub(1);
+      metrics_.connections_harvested->Add();
       ++closed;
     } else {
       ++it;
@@ -465,10 +476,9 @@ void EventLoop::HarvestIdle(Worker& worker) {
   // equally good storm signal.
   const auto swept_us = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - now);
-  harvest_sweeps_.fetch_add(1, std::memory_order_relaxed);
-  harvest_last_sweep_us_.store(static_cast<std::uint64_t>(swept_us.count()),
-                               std::memory_order_relaxed);
-  harvest_last_sweep_closed_.store(closed, std::memory_order_relaxed);
+  metrics_.harvest_sweeps->Add();
+  metrics_.harvest_last_sweep_us->Set(swept_us.count());
+  metrics_.harvest_last_sweep_closed->Set(static_cast<std::int64_t>(closed));
 }
 
 }  // namespace grafics::serve

@@ -30,6 +30,10 @@
 // The event loop is transport-only: it never looks inside a payload. The
 // owner (serve::Server) supplies the frame handler and an encoder for the
 // best-effort error frame sent when a peer declares an oversized length.
+//
+// Transport telemetry lives in the grafics_transport_* instruments of the
+// obs registry the loop is given, updated as each event happens; the owner
+// reads them back through instruments().
 #pragma once
 
 #include <atomic>
@@ -43,6 +47,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/protocol.h"
 
 namespace grafics::serve {
@@ -81,25 +86,27 @@ struct EventLoopConfig {
   FrameExtractor extractor;
 };
 
-/// Aggregate transport counters across all workers (see TransportStats for
-/// the wire-level meaning of each field).
-struct EventLoopStats {
-  std::uint64_t connections_live = 0;
-  std::uint64_t connections_harvested_idle = 0;
-  std::uint64_t frames_in = 0;
-  std::uint64_t frames_out = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
+/// The loop's transport instruments, summed across all workers (see
+/// TransportStats for the wire-level meaning of the shared quantities).
+struct LoopInstruments {
+  explicit LoopInstruments(obs::Registry& obs);
+
+  obs::Gauge* connections_live;
+  obs::Counter* connections_harvested;
+  obs::Counter* frames_in;
+  obs::Counter* frames_out;
+  obs::Counter* bytes_in;
+  obs::Counter* bytes_out;
   /// Reply bytes buffered across all connections, waiting for sockets to
   /// accept them — the backpressure signal for slow readers.
-  std::uint64_t write_buffer_bytes = 0;
-  /// Idle-harvest sweep visibility (process-local, not on the wire): total
-  /// sweeps run, how long the most recent sweep took, and how many
-  /// connections it closed — a harvest storm shows up as a closed-count
-  /// spike with a rising sweep duration.
-  std::uint64_t harvest_sweeps = 0;
-  std::uint64_t harvest_last_sweep_us = 0;
-  std::uint64_t harvest_last_sweep_closed = 0;
+  obs::Gauge* write_buffer_bytes;
+  /// Idle-harvest sweep visibility (not on the wire): total sweeps run, how
+  /// long the most recent sweep took, and how many connections it closed —
+  /// a harvest storm shows up as a closed-count spike with a rising sweep
+  /// duration.
+  obs::Counter* harvest_sweeps;
+  obs::Gauge* harvest_last_sweep_us;
+  obs::Gauge* harvest_last_sweep_closed;
 };
 
 class EventLoop {
@@ -143,8 +150,10 @@ class EventLoop {
   using FramingErrorEncoder =
       std::function<std::string(const std::string& what)>;
 
-  EventLoop(EventLoopConfig config, FrameHandler on_frame,
-            FramingErrorEncoder on_framing_error);
+  /// Resolves the loop's instruments from `obs`, which the loop keeps
+  /// alive.
+  EventLoop(EventLoopConfig config, std::shared_ptr<obs::Registry> obs,
+            FrameHandler on_frame, FramingErrorEncoder on_framing_error);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -162,7 +171,7 @@ class EventLoop {
   /// immediately when the loop is stopped.
   void Adopt(int fd);
 
-  EventLoopStats stats() const;
+  const LoopInstruments& instruments() const { return metrics_; }
 
  private:
   /// One pipelined reply in arrival order. Opened unfilled when the frame
@@ -220,6 +229,8 @@ class EventLoop {
   void HarvestIdle(Worker& worker);
 
   const EventLoopConfig config_;
+  const std::shared_ptr<obs::Registry> obs_;  // keeps metrics_ valid
+  const LoopInstruments metrics_;
   const FrameHandler on_frame_;
   const FramingErrorEncoder on_framing_error_;
   const FrameExtractor extractor_;  // config override or built-in default
@@ -229,17 +240,6 @@ class EventLoop {
   std::atomic<std::uint64_t> next_conn_id_{1};  // 0 is the eventfd token
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
-
-  std::atomic<std::uint64_t> connections_live_{0};
-  std::atomic<std::uint64_t> harvested_idle_{0};
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> frames_out_{0};
-  std::atomic<std::uint64_t> bytes_in_{0};
-  std::atomic<std::uint64_t> bytes_out_{0};
-  std::atomic<std::uint64_t> write_buffer_bytes_{0};
-  std::atomic<std::uint64_t> harvest_sweeps_{0};
-  std::atomic<std::uint64_t> harvest_last_sweep_us_{0};
-  std::atomic<std::uint64_t> harvest_last_sweep_closed_{0};
 };
 
 }  // namespace grafics::serve

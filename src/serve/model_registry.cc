@@ -63,12 +63,50 @@ struct ModelRegistry::Request {
   std::chrono::steady_clock::time_point admitted;
 };
 
-ModelRegistry::ModelRegistry(std::size_t threads, ThreadPool* pool)
-    : pool_(pool) {
+ModelRegistry::Instruments::Instruments(obs::Registry& obs,
+                                        const std::string& name) {
+  const obs::Labels labels = {{"model", name}};
+  requests = obs.GetCounter("grafics_batcher_requests_total",
+                            "Predict records admitted for the model.", labels);
+  tasks = obs.GetCounter("grafics_batcher_batches_total",
+                         "Predict tasks dispatched onto the shared pool.",
+                         labels);
+  queued = obs.GetGauge("grafics_batcher_queue_depth",
+                        "Records admitted but not yet started by a worker.",
+                        labels);
+  generation = obs.GetGauge("grafics_model_generation",
+                            "Monotonic per-model publish generation.", labels);
+  shared_bytes = obs.GetGauge(
+      "grafics_model_snapshot_shared_bytes",
+      "Bytes of the serving snapshot shared with older generations "
+      "(copy-on-write).",
+      labels);
+  owned_bytes = obs.GetGauge(
+      "grafics_model_snapshot_owned_bytes",
+      "Bytes of the serving snapshot owned by this generation alone.", labels);
+  task_records = obs.GetHistogram(
+      "grafics_batcher_batch_size", "Records per dispatched predict task.",
+      obs::PowerOfTwoBuckets(kMaxBatchRecords), labels);
+  queue_wait_us = obs.GetHistogram(
+      "grafics_batcher_queue_wait_us",
+      "Microseconds a predict task waited between admission and a worker "
+      "starting it.",
+      obs::DefaultLatencyBucketsUs(), labels);
+  predict_us = obs.GetHistogram(
+      "grafics_batcher_predict_us",
+      "Microseconds a predict task spent predicting its records.",
+      obs::DefaultLatencyBucketsUs(), labels);
+}
+
+ModelRegistry::ModelRegistry(std::size_t threads, ThreadPool* pool,
+                             std::shared_ptr<obs::Registry> obs)
+    : pool_(pool), obs_(std::move(obs)) {
+  Require(obs_ != nullptr, "ModelRegistry: null obs registry");
   if (pool_ == nullptr) {
     owned_pool_ = std::make_unique<ThreadPool>(threads);
     pool_ = owned_pool_.get();
   }
+  obs_hook_.Attach(obs_, [this] { SetSnapshotBytes(); });
 }
 
 ModelRegistry::~ModelRegistry() {
@@ -92,9 +130,7 @@ void ModelRegistry::Load(const std::string& name,
     // later admissions see the new one.
     Entry& entry = *it->second;
     const MutexLock entry_lock(&entry.mutex);
-    entry.model = std::move(model);
-    ++entry.generation;
-    entry.last_source = source;
+    Publish(entry, std::move(model), source);
     if (!model_path.empty()) entry.path = std::move(model_path);
     return;
   }
@@ -102,29 +138,14 @@ void ModelRegistry::Load(const std::string& name,
   // keeps the admin surface encodable for every registry this API can build.
   Require(entries_.size() < kMaxModels,
           "ModelRegistry::Load: registry full (kMaxModels)");
-  auto entry = std::make_shared<Entry>();
+  auto entry = std::make_shared<Entry>(*obs_, name);
   {
     const MutexLock entry_lock(&entry->mutex);
     entry->model = std::move(model);
     entry->path = std::move(model_path);
     entry->last_source = source;
-  }
-  // First load of this name: resolve the per-model telemetry handles before
-  // the entry is published, so workers read them const and race-free.
-  if (const std::shared_ptr<obs::Registry> obs = observed()) {
-    const obs::Labels labels = {{"model", name}};
-    entry->obs.task_records = obs->GetHistogram(
-        "grafics_batcher_batch_size", "Records per dispatched predict task.",
-        obs::PowerOfTwoBuckets(kMaxBatchRecords), labels);
-    entry->obs.queue_wait_us = obs->GetHistogram(
-        "grafics_batcher_queue_wait_us",
-        "Microseconds a predict task waited between admission and a worker "
-        "starting it.",
-        obs::DefaultLatencyBucketsUs(), labels);
-    entry->obs.predict_us = obs->GetHistogram(
-        "grafics_batcher_predict_us",
-        "Microseconds a predict task spent predicting its records.",
-        obs::DefaultLatencyBucketsUs(), labels);
+    entry->metrics.generation->Set(
+        static_cast<std::int64_t>(entry->generation));
   }
   entries_.emplace(name, std::move(entry));
   if (default_name_.empty()) default_name_ = name;
@@ -200,9 +221,7 @@ std::uint64_t ModelRegistry::ReloadFromDisk(const std::string& name) {
   auto fresh = std::make_shared<const core::Grafics>(
       core::Grafics::LoadModel(path));
   const MutexLock entry_lock(&entry->mutex);
-  entry->model = std::move(fresh);
-  entry->last_source = PublishSource::kDisk;
-  return ++entry->generation;
+  return Publish(*entry, std::move(fresh), PublishSource::kDisk);
 }
 
 void ModelRegistry::AttachStore(std::shared_ptr<store::ModelStore> store) {
@@ -215,69 +234,27 @@ std::shared_ptr<store::ModelStore> ModelRegistry::store() const {
   return store_;
 }
 
-void ModelRegistry::AttachObs(std::shared_ptr<obs::Registry> obs) {
-  Require(obs != nullptr, "ModelRegistry::AttachObs: null obs registry");
-  {
-    const MutexLock lock(&obs_mutex_);
-    Require(obs_ == nullptr, "ModelRegistry::AttachObs: already attached");
-    obs_ = obs;
-  }
-  obs_hook_.Attach(std::move(obs), [this] { SyncObs(); });
-}
-
-std::shared_ptr<obs::Registry> ModelRegistry::observed() const {
-  const MutexLock lock(&obs_mutex_);
-  return obs_;
-}
-
-void ModelRegistry::SyncObs() const {
-  const std::shared_ptr<obs::Registry> obs = observed();
-  if (obs == nullptr) return;
+void ModelRegistry::SetSnapshotBytes() const {
   // Same locking shape as Stats(): snapshot the entries under the registry
-  // lock, gather per-model values unlocked — a scrape must not stall name
+  // lock, walk the chunk tables unlocked — a scrape must not stall name
   // resolution for predict traffic.
-  std::vector<std::pair<std::string, std::shared_ptr<Entry>>> entries;
+  std::vector<std::shared_ptr<Entry>> entries;
   {
     const MutexLock lock(&mutex_);
     entries.reserve(entries_.size());
-    for (const auto& [name, entry] : entries_) {
-      entries.emplace_back(name, entry);
-    }
+    for (const auto& [name, entry] : entries_) entries.push_back(entry);
   }
-  for (const auto& [name, entry] : entries) {
-    const obs::Labels labels = {{"model", name}};
-    std::uint64_t generation = 0;
+  for (const std::shared_ptr<Entry>& entry : entries) {
     std::shared_ptr<const core::Grafics> snapshot;
     {
       const MutexLock entry_lock(&entry->mutex);
-      generation = entry->generation;
       snapshot = entry->model;
     }
     const CowBytes memory = snapshot->MemoryBytes();
-    obs->GetGauge("grafics_model_generation",
-                  "Monotonic per-model publish generation.", labels)
-        ->Set(static_cast<std::int64_t>(generation));
-    obs->GetGauge("grafics_model_snapshot_shared_bytes",
-                  "Bytes of the serving snapshot shared with older "
-                  "generations (copy-on-write).",
-                  labels)
-        ->Set(static_cast<std::int64_t>(memory.shared_bytes));
-    obs->GetGauge("grafics_model_snapshot_owned_bytes",
-                  "Bytes of the serving snapshot owned by this generation "
-                  "alone.",
-                  labels)
-        ->Set(static_cast<std::int64_t>(memory.owned_bytes));
-    obs->GetCounter("grafics_batcher_requests_total",
-                    "Predict records admitted for the model.", labels)
-        ->SyncTo(entry->requests.load(std::memory_order_relaxed));
-    obs->GetCounter("grafics_batcher_batches_total",
-                    "Predict tasks dispatched onto the shared pool.", labels)
-        ->SyncTo(entry->tasks.load(std::memory_order_relaxed));
-    obs->GetGauge("grafics_batcher_queue_depth",
-                  "Records admitted but not yet started by a worker.",
-                  labels)
-        ->Set(static_cast<std::int64_t>(
-            entry->queued.load(std::memory_order_relaxed)));
+    entry->metrics.shared_bytes->Set(
+        static_cast<std::int64_t>(memory.shared_bytes));
+    entry->metrics.owned_bytes->Set(
+        static_cast<std::int64_t>(memory.owned_bytes));
   }
 }
 
@@ -305,9 +282,7 @@ std::uint64_t ModelRegistry::ReloadFromStore(const std::string& name,
   std::shared_ptr<const core::Grafics> fresh =
       attached->Open(resolved, generation);
   const MutexLock entry_lock(&entry->mutex);
-  entry->model = std::move(fresh);
-  entry->last_source = PublishSource::kDisk;
-  return ++entry->generation;
+  return Publish(*entry, std::move(fresh), PublishSource::kDisk);
 }
 
 std::future<std::optional<rf::FloorId>> ModelRegistry::Submit(
@@ -358,15 +333,15 @@ bool ModelRegistry::TrySubmitBatchAsync(const std::string& name,
     // are serialized by the entry mutex and workers only lower `queued`, so
     // the check cannot be invalidated before the increment below.
     if (max_queue_depth > 0 &&
-        entry->queued.load(std::memory_order_relaxed) + count >
+        static_cast<std::uint64_t>(entry->metrics.queued->value()) + count >
             max_queue_depth) {
       return false;
     }
-    entry->queued.fetch_add(count, std::memory_order_relaxed);
+    entry->metrics.queued->Add(static_cast<std::int64_t>(count));
     entry->in_flight += count;
     request->model = entry->model;
   }
-  entry->requests.fetch_add(count, std::memory_order_relaxed);
+  entry->metrics.requests->Add(count);
   request->records = std::move(records);
   request->done = std::move(done);
   request->admitted = std::chrono::steady_clock::now();
@@ -393,18 +368,16 @@ bool ModelRegistry::TrySubmitBatchAsync(const std::string& name,
 void ModelRegistry::RunChunk(Entry& entry, const Request& request,
                              std::size_t begin, std::size_t end) {
   const std::size_t count = end - begin;
-  entry.queued.fetch_sub(count, std::memory_order_relaxed);
-  entry.tasks.fetch_add(1, std::memory_order_relaxed);
+  entry.metrics.queued->Sub(static_cast<std::int64_t>(count));
+  entry.metrics.tasks->Add();
   std::uint64_t largest = entry.max_task.load(std::memory_order_relaxed);
   while (count > largest &&
          !entry.max_task.compare_exchange_weak(largest, count,
                                                std::memory_order_relaxed)) {
   }
   const std::uint64_t queue_wait_us = MicrosSince(request.admitted);
-  if (entry.obs.task_records != nullptr) entry.obs.task_records->Observe(count);
-  if (entry.obs.queue_wait_us != nullptr) {
-    entry.obs.queue_wait_us->Observe(queue_wait_us);
-  }
+  entry.metrics.task_records->Observe(count);
+  entry.metrics.queue_wait_us->Observe(queue_wait_us);
   std::vector<std::optional<rf::FloorId>> floors(count);
   const auto started = std::chrono::steady_clock::now();
   try {
@@ -419,9 +392,7 @@ void ModelRegistry::RunChunk(Entry& entry, const Request& request,
     return;
   }
   const std::uint64_t predict_us = MicrosSince(started);
-  if (entry.obs.predict_us != nullptr) {
-    entry.obs.predict_us->Observe(predict_us);
-  }
+  entry.metrics.predict_us->Observe(predict_us);
   for (std::size_t i = 0; i < count; ++i) {
     request.done(begin + i, {floors[i], {}, queue_wait_us, predict_us});
   }
@@ -431,6 +402,16 @@ void ModelRegistry::Drain(Entry& entry) {
   const MutexLock entry_lock(&entry.mutex);
   entry.stopped = true;
   while (entry.in_flight > 0) entry.drained.Wait(entry.mutex);
+}
+
+std::uint64_t ModelRegistry::Publish(Entry& entry,
+                                     std::shared_ptr<const core::Grafics> model,
+                                     PublishSource source) {
+  entry.model = std::move(model);
+  entry.last_source = source;
+  ++entry.generation;
+  entry.metrics.generation->Set(static_cast<std::int64_t>(entry.generation));
+  return entry.generation;
 }
 
 std::vector<ModelInfo> ModelRegistry::List() const {
@@ -475,10 +456,11 @@ std::vector<ModelStats> ModelRegistry::Stats(
     const CowBytes memory = snapshot->MemoryBytes();
     stats.shared_bytes = memory.shared_bytes;
     stats.owned_bytes = memory.owned_bytes;
-    stats.requests = entry->requests.load(std::memory_order_relaxed);
-    stats.batches = entry->tasks.load(std::memory_order_relaxed);
+    stats.requests = entry->metrics.requests->value();
+    stats.batches = entry->metrics.tasks->value();
     stats.max_batch = entry->max_task.load(std::memory_order_relaxed);
-    stats.queue_depth = entry->queued.load(std::memory_order_relaxed);
+    stats.queue_depth =
+        static_cast<std::uint64_t>(entry->metrics.queued->value());
     {
       // Invoked under probe_mutex_ (but outside every registry/entry
       // lock), so SetIngestDepthProbe(nullptr) is a true quiesce point:

@@ -60,8 +60,12 @@ class ModelRegistry {
 
   /// Predicts run on one ThreadPool shared by every model: an owned pool of
   /// `threads` workers (0 = hardware_concurrency), or `pool` when non-null
-  /// (which then must outlive the registry).
-  explicit ModelRegistry(std::size_t threads = 1, ThreadPool* pool = nullptr);
+  /// (which then must outlive the registry). `obs` is the telemetry registry
+  /// every per-model instrument lives in; the serving transport and the
+  /// ingest pipeline built on this registry record into it too.
+  explicit ModelRegistry(
+      std::size_t threads = 1, ThreadPool* pool = nullptr,
+      std::shared_ptr<obs::Registry> obs = std::make_shared<obs::Registry>());
   ~ModelRegistry();
 
   ModelRegistry(const ModelRegistry&) = delete;
@@ -104,13 +108,8 @@ class ModelRegistry {
   void AttachStore(std::shared_ptr<store::ModelStore> store);
   std::shared_ptr<store::ModelStore> store() const;
 
-  /// Attaches the telemetry registry. Per-model gauges and counters
-  /// (generation, snapshot bytes, dispatch totals, queue depth) are synced
-  /// by a collection hook at every scrape; the per-task latency/size
-  /// histograms are resolved per model at Load time, so attach before
-  /// loading models — models loaded earlier keep serving but record no
-  /// distributions. Detached automatically (quiescently) on destruction.
-  void AttachObs(std::shared_ptr<obs::Registry> obs);
+  /// The telemetry registry given at construction.
+  const std::shared_ptr<obs::Registry>& obs() const { return obs_; }
 
   /// Load(name, store->Open(name, generation)): installs a store generation
   /// (0 = latest). Requires an attached store holding `name`.
@@ -146,6 +145,9 @@ class ModelRegistry {
   std::vector<ModelInfo> List() const;
   /// Per-model serving counters, sorted by name. A non-empty `name_filter`
   /// touches only that model's entry (empty result for unknown names).
+  /// requests/batches read the model's obs counters, which count since the
+  /// name was first loaded (an Unload does not reset them); generation and
+  /// max_batch describe the current load.
   std::vector<ModelStats> Stats(const std::string& name_filter = {}) const;
   std::size_t size() const;
   bool Has(const std::string& name) const;
@@ -175,15 +177,28 @@ class ModelRegistry {
   void Stop();
 
  private:
-  /// Per-model distributions, observed from pool workers; any pointer may
-  /// be null (that instrument is simply not recorded).
-  struct DispatchObs {
-    obs::Histogram* task_records = nullptr;
-    obs::Histogram* queue_wait_us = nullptr;
-    obs::Histogram* predict_us = nullptr;
+  /// A model's instruments, resolved by name: a later Load of an unloaded
+  /// name resolves the same series, so its counters keep counting.
+  struct Instruments {
+    Instruments(obs::Registry& obs, const std::string& name);
+
+    obs::Counter* requests;  // records admitted
+    obs::Counter* tasks;     // chunk tasks run
+    /// Admitted records no worker has started: the queue depth that
+    /// admission control compares against. Raised under the entry mutex at
+    /// admission, lowered lock-free by workers.
+    obs::Gauge* queued;
+    obs::Gauge* generation;
+    obs::Gauge* shared_bytes;
+    obs::Gauge* owned_bytes;
+    obs::Histogram* task_records;
+    obs::Histogram* queue_wait_us;
+    obs::Histogram* predict_us;
   };
 
   struct Entry {
+    Entry(obs::Registry& obs, const std::string& name) : metrics(obs, name) {}
+
     mutable Mutex mutex;
     CondVar drained;
     std::shared_ptr<const core::Grafics> model GRAFICS_GUARDED_BY(mutex);
@@ -195,17 +210,9 @@ class ModelRegistry {
     /// Admitted records whose callbacks have not all run yet; Unload and
     /// Stop wait for it to reach zero.
     std::uint64_t in_flight GRAFICS_GUARDED_BY(mutex) = 0;
-    /// Admitted records no worker has started: the queue depth that
-    /// admission control compares against. Raised under `mutex` at
-    /// admission, lowered lock-free by workers.
-    std::atomic<std::uint64_t> queued{0};
-    /// Lifetime totals: records admitted, chunk tasks run, largest task.
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> tasks{0};
+    /// Largest chunk task since this load.
     std::atomic<std::uint64_t> max_task{0};
-    // Unguarded by design: set once before the entry is published into
-    // entries_ and immutable from then on.
-    DispatchObs obs;
+    const Instruments metrics;
   };
 
   struct Request;
@@ -214,26 +221,28 @@ class ModelRegistry {
                        std::size_t begin, std::size_t end);
   /// Blocks until every record admitted to `entry` has completed.
   static void Drain(Entry& entry);
+  /// Swaps `model` in as the entry's next generation and returns it.
+  static std::uint64_t Publish(Entry& entry,
+                               std::shared_ptr<const core::Grafics> model,
+                               PublishSource source)
+      GRAFICS_REQUIRES(entry.mutex);
 
   /// Resolves empty → default and looks the entry up. Callers hold the
   /// returned shared_ptr, so a concurrent Unload cannot free it mid-use.
   std::shared_ptr<Entry> Find(const std::string& name) const
       GRAFICS_EXCLUDES(mutex_);
 
-  /// Collection-hook body: walks every entry and syncs the per-model
-  /// gauges/counters into the attached obs registry.
-  void SyncObs() const GRAFICS_EXCLUDES(mutex_);
-  std::shared_ptr<obs::Registry> observed() const
-      GRAFICS_EXCLUDES(obs_mutex_);
+  /// Collection-hook body: sets every loaded model's snapshot byte gauges,
+  /// which depend on the lifetimes of other snapshots and so can only be
+  /// computed at scrape time.
+  void SetSnapshotBytes() const GRAFICS_EXCLUDES(mutex_);
 
   ThreadPool* pool_;  // the owned pool or the caller's
+  const std::shared_ptr<obs::Registry> obs_;
+  obs::ScopedHook obs_hook_;  // detached first thing in the destructor
 
   mutable Mutex store_mutex_;  // probes never touch it
   std::shared_ptr<store::ModelStore> store_ GRAFICS_GUARDED_BY(store_mutex_);
-
-  mutable Mutex obs_mutex_;  // guards attachment, not instrument updates
-  std::shared_ptr<obs::Registry> obs_ GRAFICS_GUARDED_BY(obs_mutex_);
-  obs::ScopedHook obs_hook_;  // detach-before-death safety for SyncObs
 
   mutable Mutex mutex_;
   std::map<std::string, std::shared_ptr<Entry>> entries_

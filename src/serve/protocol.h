@@ -161,9 +161,13 @@ enum class PublishSource : std::uint8_t {
 /// Admin: per-model serving counters (empty model = all models).
 struct ModelStats {
   std::string name;
+  /// Snapshot counter of the current load.
   std::uint64_t generation = 0;
+  /// Records admitted and predict tasks run since the name was first
+  /// loaded (an unload does not reset them).
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;
+  /// Records in the largest task of the current load.
   std::uint64_t max_batch = 0;
   /// Records enqueued but not yet dispatched at the time of the request.
   std::uint64_t queue_depth = 0;
@@ -272,25 +276,28 @@ struct SubmitRecordsResponse {
 /// Admin: per-model ingest pipeline counters.
 struct IngestModelStats {
   std::string name;
-  /// Records accepted (journaled + queued) since the daemon started.
+  /// Records accepted (journaled + queued) since the name was first loaded.
   std::uint64_t accepted = 0;
-  /// Records rejected at submission (validation or backpressure).
+  /// Records rejected at submission (validation or backpressure) since the
+  /// name was first loaded.
   std::uint64_t rejected = 0;
   /// Accepted records not yet folded into the served model.
   std::uint64_t pending = 0;
-  /// Records folded into published snapshots since the daemon started.
+  /// Records folded into published snapshots since the name was first
+  /// loaded.
   std::uint64_t folded = 0;
   /// Records replayed from the journal at startup.
   std::uint64_t replayed = 0;
   /// Current journal size in bytes (0 when journaling is disabled).
   std::uint64_t journal_bytes = 0;
-  /// Snapshot publishes performed by the pipeline (including the replay).
+  /// Snapshot publishes performed by the pipeline (including the replay)
+  /// since the name was first loaded.
   std::uint64_t publishes = 0;
   /// Registry generation of the pipeline's most recent publish (0 = none).
   std::uint64_t last_publish_generation = 0;
-  /// Per-fold latency (fork + Update + publish), microseconds,
-  /// over every fold since the daemon started; all zero before the first
-  /// fold.
+  /// Per-fold latency (fork + Update + publish), microseconds; all zero
+  /// before the first fold. The mean covers every fold since the name was
+  /// first loaded, min and max those of the running pipeline.
   std::uint64_t fold_min_us = 0;
   std::uint64_t fold_mean_us = 0;
   std::uint64_t fold_max_us = 0;

@@ -44,21 +44,51 @@ PredictResponse ErrorResponse(std::size_t records, const std::string& what) {
   return response;
 }
 
+/// The registry a server may be built on: one holding the default model.
+std::shared_ptr<ModelRegistry> ServedRegistry(
+    std::shared_ptr<ModelRegistry> registry) {
+  Require(registry != nullptr && registry->size() > 0,
+          "Server: requires a registry with at least one model");
+  return registry;
+}
+
 }  // namespace
 
 Server::Server(std::shared_ptr<ModelRegistry> registry, ServerConfig config)
-    : config_(std::move(config)), registry_(std::move(registry)) {
-  Require(registry_ != nullptr && registry_->size() > 0,
-          "Server: requires a registry with at least one model");
+    : config_(std::move(config)),
+      registry_(ServedRegistry(std::move(registry))),
+      accepts_(registry_->obs()->GetCounter(
+          "grafics_transport_accepts_total",
+          "Connections accepted since start.")),
+      busy_rejections_(registry_->obs()->GetCounter(
+          "grafics_transport_busy_rejections_total",
+          "Predicts refused by admission control "
+          "(per-connection in-flight or model queue-depth caps).")),
+      slow_requests_(registry_->obs()->GetCounter(
+          "grafics_server_slow_requests_total",
+          "Predicts whose end-to-end time exceeded slow_request_us.")),
+      frame_decode_us_(registry_->obs()->GetHistogram(
+          "grafics_transport_frame_decode_us",
+          "Microseconds spent decoding one request frame.",
+          obs::DefaultLatencyBucketsUs())),
+      loop_(std::make_unique<EventLoop>(
+          EventLoopConfig{.workers = config_.event_workers,
+                          .idle_timeout = config_.idle_timeout,
+                          .max_frame_bytes = config_.max_frame_bytes,
+                          .extractor = nullptr},
+          registry_->obs(),
+          [this](std::string payload, std::size_t inflight,
+                 EventLoop::Completion done) {
+            HandleFrame(std::move(payload), inflight, std::move(done));
+          },
+          [](const std::string& what) {
+            return EncodeFrame(ErrorResponse(1, what));
+          })) {
   Require(config_.event_workers >= 1, "Server: event_workers >= 1");
   Require(config_.ops_threads >= 1, "Server: ops_threads >= 1");
 }
 
-Server::~Server() {
-  // Quiesce the scrape hook before the transport it reads starts dying.
-  obs_hook_.Detach();
-  Stop();
-}
+Server::~Server() { Stop(); }
 
 void Server::AttachIngest(std::shared_ptr<ingest::IngestPipeline> ingest) {
   Require(!started_, "Server::AttachIngest: attach before Start");
@@ -68,66 +98,6 @@ void Server::AttachIngest(std::shared_ptr<ingest::IngestPipeline> ingest) {
 void Server::AttachStore(std::shared_ptr<store::ModelStore> store) {
   Require(!started_, "Server::AttachStore: attach before Start");
   store_ = std::move(store);
-}
-
-void Server::AttachObs(std::shared_ptr<obs::Registry> obs) {
-  Require(!started_, "Server::AttachObs: attach before Start");
-  Require(obs != nullptr, "Server::AttachObs: null obs registry");
-  Require(obs_ == nullptr, "Server::AttachObs: already attached");
-  obs_ = std::move(obs);
-  frame_decode_us_ = obs_->GetHistogram(
-      "grafics_transport_frame_decode_us",
-      "Microseconds spent decoding one request frame.",
-      obs::DefaultLatencyBucketsUs());
-  slow_requests_ = obs_->GetCounter(
-      "grafics_server_slow_requests_total",
-      "Predicts whose end-to-end time exceeded slow_request_us.");
-  obs_hook_.Attach(obs_, [this] { SyncObs(); });
-}
-
-void Server::SyncObs() {
-  const TransportStats transport = transport_stats();
-  obs_->GetCounter("grafics_transport_accepts_total",
-                   "Connections accepted since start.")
-      ->SyncTo(connections_accepted_.load());
-  obs_->GetCounter("grafics_transport_busy_rejections_total",
-                   "Predicts refused by admission control "
-                   "(per-connection in-flight or model queue-depth caps).")
-      ->SyncTo(transport.requests_rejected_busy);
-  obs_->GetGauge("grafics_transport_connections_live",
-                 "Connections currently owned by the event loop.")
-      ->Set(static_cast<std::int64_t>(transport.connections_live));
-  obs_->GetCounter("grafics_transport_connections_harvested_total",
-                   "Idle connections closed by the harvest sweep.")
-      ->SyncTo(transport.connections_harvested_idle);
-  obs_->GetCounter("grafics_transport_frames_in_total",
-                   "Complete request frames parsed.")
-      ->SyncTo(transport.frames_in);
-  obs_->GetCounter("grafics_transport_frames_out_total",
-                   "Reply frames fully written.")
-      ->SyncTo(transport.frames_out);
-  obs_->GetCounter("grafics_transport_bytes_in_total",
-                   "Bytes read off client sockets.")
-      ->SyncTo(transport.bytes_in);
-  obs_->GetCounter("grafics_transport_bytes_out_total",
-                   "Bytes written to client sockets.")
-      ->SyncTo(transport.bytes_out);
-  if (loop_ != nullptr) {
-    // Process-local loop counters that are not on the wire.
-    const EventLoopStats loop = loop_->stats();
-    obs_->GetGauge("grafics_transport_write_buffer_bytes",
-                   "Reply bytes buffered waiting for socket writability.")
-        ->Set(static_cast<std::int64_t>(loop.write_buffer_bytes));
-    obs_->GetCounter("grafics_transport_harvest_sweeps_total",
-                     "Idle-harvest sweeps run across all workers.")
-        ->SyncTo(loop.harvest_sweeps);
-    obs_->GetGauge("grafics_transport_harvest_last_sweep_us",
-                   "Duration of the most recent idle-harvest sweep.")
-        ->Set(static_cast<std::int64_t>(loop.harvest_last_sweep_us));
-    obs_->GetGauge("grafics_transport_harvest_last_sweep_closed",
-                   "Connections closed by the most recent harvest sweep.")
-        ->Set(static_cast<std::int64_t>(loop.harvest_last_sweep_closed));
-  }
 }
 
 void Server::Start() {
@@ -156,19 +126,6 @@ void Server::Start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_size);
   port_ = ntohs(bound.sin_port);
 
-  EventLoopConfig loop_config;
-  loop_config.workers = config_.event_workers;
-  loop_config.idle_timeout = config_.idle_timeout;
-  loop_config.max_frame_bytes = config_.max_frame_bytes;
-  loop_ = std::make_unique<EventLoop>(
-      loop_config,
-      [this](std::string payload, std::size_t inflight,
-             EventLoop::Completion done) {
-        HandleFrame(std::move(payload), inflight, std::move(done));
-      },
-      [](const std::string& what) {
-        return EncodeFrame(ErrorResponse(1, what));
-      });
   loop_->Start();
   ops_pool_ = std::make_unique<ThreadPool>(config_.ops_threads);
   started_ = true;
@@ -209,7 +166,7 @@ void Server::AcceptLoop() {
       return;
     }
     SetNoDelay(fd);
-    ++connections_accepted_;
+    accepts_->Add();
     loop_->Adopt(fd);
   }
 }
@@ -219,12 +176,10 @@ void Server::HandleFrame(std::string payload, std::size_t inflight,
   try {
     const auto decode_start = std::chrono::steady_clock::now();
     Message request = DecodePayload(payload);
-    if (frame_decode_us_ != nullptr) {
-      frame_decode_us_->Observe(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - decode_start)
-              .count()));
-    }
+    frame_decode_us_->Observe(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - decode_start)
+            .count()));
     if (auto* predict = std::get_if<PredictRequest>(&request)) {
       HandlePredictAsync(std::move(*predict), inflight, std::move(done));
     } else if (const auto* ping = std::get_if<Ping>(&request)) {
@@ -267,9 +222,8 @@ void Server::HandleFrame(std::string payload, std::size_t inflight,
     } else if (std::holds_alternative<MetricsRequest>(request)) {
       // Inline like Stats: the render walks per-model counters and chunk
       // tables, the same cost profile as HandleStats — no fsyncs, no disk.
-      MetricsResponse metrics;
-      if (obs_ != nullptr) metrics.text = obs_->RenderPrometheus();
-      done.Send(EncodeFrame(metrics));
+      done.Send(
+          EncodeFrame(MetricsResponse{registry_->obs()->RenderPrometheus()}));
     } else {
       throw Error("Server: unexpected message type from client");
     }
@@ -290,7 +244,7 @@ void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
   }
   if (config_.max_inflight_per_connection > 0 &&
       inflight > config_.max_inflight_per_connection) {
-    ++busy_rejections_;
+    busy_rejections_->Add();
     done.Send(EncodeFrame(
         ErrorResponse(count,
                       "busy: connection has " + std::to_string(inflight) +
@@ -327,7 +281,7 @@ void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
     pending->model = request.model;
     pending->slow_threshold_us = config_.slow_request_us;
     pending->slow_counter = slow_requests_;
-    pending->obs = obs_;
+    pending->obs = registry_->obs();
   }
   try {
     // Completions happen-after this stamp via the pool's queue mutex, and
@@ -363,9 +317,7 @@ void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
               pending->trace->Stamp("reply_flushed");
               const std::uint64_t total_us = pending->trace->ElapsedUs();
               if (total_us > pending->slow_threshold_us) {
-                if (pending->slow_counter != nullptr) {
-                  pending->slow_counter->Add();
-                }
+                pending->slow_counter->Add();
                 std::fprintf(
                     stderr,
                     "grafics_served: slow-request model=%s records=%zu "
@@ -381,7 +333,7 @@ void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
         },
         config_.max_queue_depth);
     if (!admitted) {
-      ++busy_rejections_;
+      busy_rejections_->Add();
       done.Send(EncodeFrame(
           ErrorResponse(count,
                         "busy: model queue depth would exceed " +
@@ -447,7 +399,7 @@ ListModelsResponse Server::HandleListModels() const {
 
 StatsResponse Server::HandleStats(const StatsRequest& request) const {
   StatsResponse response;
-  response.connections_accepted = connections_accepted_.load();
+  response.connections_accepted = accepts_->value();
   response.models = registry_->Stats(request.model);
   response.transport = transport_stats();
   if (store_ != nullptr) {
@@ -464,18 +416,17 @@ StatsResponse Server::HandleStats(const StatsRequest& request) const {
 }
 
 TransportStats Server::transport_stats() const {
+  const LoopInstruments& loop = loop_->instruments();
   TransportStats transport;
+  transport.connections_live =
+      static_cast<std::uint64_t>(loop.connections_live->value());
+  transport.connections_harvested_idle = loop.connections_harvested->value();
+  transport.frames_in = loop.frames_in->value();
+  transport.frames_out = loop.frames_out->value();
+  transport.bytes_in = loop.bytes_in->value();
+  transport.bytes_out = loop.bytes_out->value();
+  transport.requests_rejected_busy = busy_rejections_->value();
   transport.event_workers = config_.event_workers;
-  transport.requests_rejected_busy = busy_rejections_.load();
-  if (loop_ != nullptr) {
-    const EventLoopStats loop = loop_->stats();
-    transport.connections_live = loop.connections_live;
-    transport.connections_harvested_idle = loop.connections_harvested_idle;
-    transport.frames_in = loop.frames_in;
-    transport.frames_out = loop.frames_out;
-    transport.bytes_in = loop.bytes_in;
-    transport.bytes_out = loop.bytes_out;
-  }
   return transport;
 }
 

@@ -79,7 +79,9 @@ class Server {
  public:
   /// Serves every model in `registry`, which must already hold at least one
   /// (the default) and stays owned by the caller: load/unload/reload models
-  /// on it at any time while the server runs.
+  /// on it at any time while the server runs. Transport telemetry is
+  /// recorded into the registry's obs registry, and the v7 Metrics request
+  /// answers with its Prometheus render.
   explicit Server(std::shared_ptr<ModelRegistry> registry,
                   ServerConfig config = {});
   ~Server();
@@ -99,13 +101,6 @@ class Server {
   /// Start; the store is shared with the registry and the caller.
   void AttachStore(std::shared_ptr<store::ModelStore> store);
 
-  /// Enables the telemetry surface: the v7 Metrics request answers with the
-  /// registry's Prometheus render, transport counters are synced into it by
-  /// a collection hook at every scrape, and frame decode times feed a
-  /// histogram. Call before Start; without one, Metrics replies carry an
-  /// empty dump and nothing is recorded.
-  void AttachObs(std::shared_ptr<obs::Registry> obs);
-
   /// Binds, listens, and spawns the accept loop + event workers. Throws
   /// grafics::Error when the address is unusable.
   void Start();
@@ -120,12 +115,11 @@ class Server {
   ModelRegistry& registry() { return *registry_; }
   const ModelRegistry& registry() const { return *registry_; }
 
-  std::uint64_t connections_accepted() const {
-    return connections_accepted_.load();
-  }
+  std::uint64_t connections_accepted() const { return accepts_->value(); }
 
-  /// The transport counters the Stats reply carries; readable while the
-  /// server runs and after Stop (final values).
+  /// The transport counters the Stats reply carries, read off the obs
+  /// instruments; readable while the server runs and after Stop (final
+  /// values).
   TransportStats transport_stats() const;
 
  private:
@@ -150,29 +144,23 @@ class Server {
   ListArtifactsResponse HandleListArtifacts(
       const ListArtifactsRequest& request) const;
 
-  /// Collection-hook body: syncs transport counters into the obs registry.
-  void SyncObs();
-
   const ServerConfig config_;
   const std::shared_ptr<ModelRegistry> registry_;
   std::shared_ptr<ingest::IngestPipeline> ingest_;
   std::shared_ptr<store::ModelStore> store_;
-  // Set before Start (AttachObs), const afterwards: handlers read them
-  // race-free without a lock. The hook is detached in the destructor,
-  // before loop_ dies.
-  std::shared_ptr<obs::Registry> obs_;
-  obs::Histogram* frame_decode_us_ = nullptr;
-  obs::Counter* slow_requests_ = nullptr;
-  obs::ScopedHook obs_hook_;
+  obs::Counter* const accepts_;
+  obs::Counter* const busy_rejections_;
+  obs::Counter* const slow_requests_;
+  obs::Histogram* const frame_decode_us_;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> busy_rejections_{0};
 
-  std::unique_ptr<EventLoop> loop_;
+  // Built with the server so its instruments read zero before Start; its
+  // workers run from Start to Stop.
+  const std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<ThreadPool> ops_pool_;
   std::thread accept_thread_;
 };

@@ -101,12 +101,41 @@ std::string ModelStore::EncodedFileStem(const std::string& name) {
   return stem;
 }
 
-ModelStore::ModelStore(std::string dir) : dir_(std::move(dir)) {
+ModelStore::ModelStore(std::string dir, std::shared_ptr<obs::Registry> obs)
+    : dir_(std::move(dir)),
+      obs_(std::move(obs)),
+      checkpoint_us_(obs_->GetHistogram(
+          "grafics_store_checkpoint_us",
+          "Microseconds one committed checkpoint (stage + manifest commit) "
+          "took.",
+          obs::DefaultLatencyBucketsUs())),
+      base_artifacts_(obs_->GetGauge("grafics_store_base_artifacts",
+                                     "Base artifacts across every model.")),
+      delta_artifacts_(
+          obs_->GetGauge("grafics_store_delta_artifacts",
+                         "Delta checkpoints across every model.")) {
   Require(!dir_.empty(), "ModelStore: empty directory");
   ::mkdir(dir_.c_str(), 0755);  // EEXIST is fine
   struct stat st = {};
   Require(::stat(dir_.c_str(), &st) == 0 && S_ISDIR(st.st_mode),
           "ModelStore: cannot create directory " + dir_);
+  // Count what earlier runs committed; commits through this store keep the
+  // gauges current from here on.
+  ArtifactCounts totals;
+  for (const std::string& name : ListModels()) {
+    std::vector<ArtifactInfo> chain;
+    try {
+      chain = List(name);
+    } catch (const Error&) {
+      continue;  // a corrupt manifest fails on Open; ListModels skips it too
+    }
+    for (const ArtifactInfo& info : chain) {
+      ++(info.is_delta ? totals.delta_count : totals.base_count);
+    }
+    ChainLength(name)->Set(static_cast<std::int64_t>(chain.size()));
+  }
+  base_artifacts_->Set(static_cast<std::int64_t>(totals.base_count));
+  delta_artifacts_->Set(static_cast<std::int64_t>(totals.delta_count));
 }
 
 std::string ModelStore::ManifestPath(const std::string& name) const {
@@ -280,17 +309,30 @@ std::vector<std::string> ModelStore::ListModels() const {
 }
 
 ArtifactCounts ModelStore::Counts() const {
-  ArtifactCounts counts;
-  for (const std::string& name : ListModels()) {
-    for (const ArtifactInfo& info : List(name)) {
-      if (info.is_delta) {
-        ++counts.delta_count;
-      } else {
-        ++counts.base_count;
-      }
-    }
-  }
-  return counts;
+  return {static_cast<std::uint64_t>(base_artifacts_->value()),
+          static_cast<std::uint64_t>(delta_artifacts_->value())};
+}
+
+void ModelStore::AppendManifest(const std::string& name,
+                                const Manifest& manifest) {
+  WriteManifest(name, manifest);
+  (manifest.artifacts.back().is_delta ? delta_artifacts_ : base_artifacts_)
+      ->Add(1);
+  ChainLength(name)->Set(static_cast<std::int64_t>(manifest.artifacts.size()));
+}
+
+obs::Gauge* ModelStore::ChainLength(const std::string& name) const {
+  return obs_->GetGauge("grafics_store_chain_length",
+                        "Artifacts (bases + deltas) in the model's chain.",
+                        {{"model", name}});
+}
+
+void ModelStore::ObserveCheckpoint(
+    std::chrono::steady_clock::time_point started) const {
+  checkpoint_us_->Observe(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - started)
+          .count()));
 }
 
 StagedArtifact ModelStore::StageLocked(
@@ -335,7 +377,7 @@ void ModelStore::CommitLocked(const std::string& name,
   manifest.artifacts.push_back(ArtifactInfo{
       staged.generation, staged.is_delta, false, staged.file, staged.bytes});
   manifest.journal_epoch = journal_epoch;
-  WriteManifest(name, manifest);
+  AppendManifest(name, manifest);
   retained_[name] = model;
 }
 
@@ -348,12 +390,7 @@ std::uint64_t ModelStore::WriteBase(
   retained_.erase(name);
   const StagedArtifact staged = StageLocked(name, model);
   CommitLocked(name, staged, ReadManifest(name).journal_epoch, model);
-  if (checkpoint_us_ != nullptr) {
-    checkpoint_us_->Observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - started)
-            .count()));
-  }
+  ObserveCheckpoint(started);
   return staged.generation;
 }
 
@@ -364,12 +401,7 @@ std::uint64_t ModelStore::WriteCheckpoint(
   const auto started = std::chrono::steady_clock::now();
   const StagedArtifact staged = StageLocked(name, model);
   CommitLocked(name, staged, ReadManifest(name).journal_epoch, model);
-  if (checkpoint_us_ != nullptr) {
-    checkpoint_us_->Observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - started)
-            .count()));
-  }
+  ObserveCheckpoint(started);
   if (info != nullptr) *info = staged;
   return staged.generation;
 }
@@ -387,7 +419,7 @@ std::uint64_t ModelStore::ImportBase(const std::string& name,
       1;
   manifest.artifacts.push_back(
       ArtifactInfo{generation, false, true, path, FileBytes(path)});
-  WriteManifest(name, manifest);
+  AppendManifest(name, manifest);
   // The imported file's in-memory snapshot is unknown here; Open(name)
   // re-anchors the delta chain when the daemon loads it.
   retained_.erase(name);
@@ -411,47 +443,6 @@ void ModelStore::CommitStaged(const std::string& name,
 std::uint64_t ModelStore::JournalEpoch(const std::string& name) const {
   const MutexLock lock(&mutex_);
   return ReadManifest(name).journal_epoch;
-}
-
-void ModelStore::AttachObs(std::shared_ptr<obs::Registry> obs) {
-  Require(obs != nullptr, "ModelStore::AttachObs: null obs registry");
-  {
-    const MutexLock lock(&mutex_);
-    Require(checkpoint_us_ == nullptr,
-            "ModelStore::AttachObs: already attached");
-    checkpoint_us_ = obs->GetHistogram(
-        "grafics_store_checkpoint_us",
-        "Microseconds one committed checkpoint (stage + manifest commit) "
-        "took.",
-        obs::DefaultLatencyBucketsUs());
-  }
-  obs::Registry* raw = obs.get();  // kept alive by the hook's shared_ptr
-  obs_hook_.Attach(std::move(obs), [this, raw] { SyncObs(*raw); });
-}
-
-void ModelStore::SyncObs(obs::Registry& obs) const {
-  ArtifactCounts totals;
-  for (const std::string& name : ListModels()) {
-    std::uint64_t chain = 0;
-    for (const ArtifactInfo& info : List(name)) {
-      ++chain;
-      if (info.is_delta) {
-        ++totals.delta_count;
-      } else {
-        ++totals.base_count;
-      }
-    }
-    obs.GetGauge("grafics_store_chain_length",
-                 "Artifacts (bases + deltas) in the model's chain.",
-                 {{"model", name}})
-        ->Set(static_cast<std::int64_t>(chain));
-  }
-  obs.GetGauge("grafics_store_base_artifacts",
-               "Base artifacts across every model.")
-      ->Set(static_cast<std::int64_t>(totals.base_count));
-  obs.GetGauge("grafics_store_delta_artifacts",
-               "Delta checkpoints across every model.")
-      ->Set(static_cast<std::int64_t>(totals.delta_count));
 }
 
 }  // namespace grafics::store

@@ -19,6 +19,7 @@
 // generation doubles as a rollback point.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -60,8 +61,12 @@ struct StagedArtifact {
 
 class ModelStore {
  public:
-  /// Opens (creating if needed) the store rooted at `dir`.
-  explicit ModelStore(std::string dir);
+  /// Opens (creating if needed) the store rooted at `dir`. Checkpoint
+  /// durations and the artifact-count gauges (set from the manifests found
+  /// here, then at every commit) live in `obs`; one store per obs registry.
+  explicit ModelStore(
+      std::string dir,
+      std::shared_ptr<obs::Registry> obs = std::make_shared<obs::Registry>());
 
   const std::string& dir() const { return dir_; }
 
@@ -79,6 +84,7 @@ class ModelStore {
 
   std::vector<ArtifactInfo> List(const std::string& name) const;
   std::vector<std::string> ListModels() const;
+  /// Artifact totals across every model, read off the store's gauges.
   ArtifactCounts Counts() const;
 
   /// Writes a full snapshot as the next generation and commits it.
@@ -115,12 +121,6 @@ class ModelStore {
   /// The epoch names the journal file the ingest pipeline must replay.
   std::uint64_t JournalEpoch(const std::string& name) const;
 
-  /// Attaches the telemetry registry: WriteBase/WriteCheckpoint durations
-  /// feed a histogram, and a collection hook syncs artifact counts and
-  /// per-model chain lengths at every scrape. Attach once, before
-  /// checkpoints start flowing; null is rejected.
-  void AttachObs(std::shared_ptr<obs::Registry> obs);
-
   /// Percent-encodes `name` into a filesystem-safe file stem; the same
   /// scheme the ingest journal uses, so store and journal files for one
   /// model sort together.
@@ -143,20 +143,24 @@ class ModelStore {
                     std::uint64_t journal_epoch,
                     const std::shared_ptr<const core::Grafics>& model)
       GRAFICS_REQUIRES(mutex_);
-
-  /// Collection-hook body: syncs artifact counts/chain lengths into `obs`.
-  void SyncObs(obs::Registry& obs) const GRAFICS_EXCLUDES(mutex_);
+  /// Writes `manifest`, whose last artifact is new, and counts that
+  /// artifact in the gauges.
+  void AppendManifest(const std::string& name, const Manifest& manifest)
+      GRAFICS_REQUIRES(mutex_);
+  obs::Gauge* ChainLength(const std::string& name) const;
+  /// Records one committed checkpoint's duration.
+  void ObserveCheckpoint(std::chrono::steady_clock::time_point started) const;
 
   std::string dir_;
+  const std::shared_ptr<obs::Registry> obs_;
+  obs::Histogram* const checkpoint_us_;
+  obs::Gauge* const base_artifacts_;
+  obs::Gauge* const delta_artifacts_;
   mutable Mutex mutex_;
   /// Last committed generation's in-memory snapshot per model: the base the
   /// next delta checkpoint diffs against (chunk identity, not content).
   std::map<std::string, std::shared_ptr<const core::Grafics>> retained_
       GRAFICS_GUARDED_BY(mutex_);
-  obs::Histogram* checkpoint_us_ GRAFICS_GUARDED_BY(mutex_) = nullptr;
-  /// Last member: destroyed (and thus quiesced) before everything SyncObs
-  /// reads.
-  obs::ScopedHook obs_hook_;
 };
 
 }  // namespace grafics::store

@@ -356,8 +356,9 @@ int main(int argc, char** argv) {
     // not kill the process with the default action.
     InstallSignalHandlers();
     // Telemetry is always collected (the wire-level metrics dump needs it
-    // even without --admin-port); the registry must attach before models
-    // load so per-model latency histograms resolve at Load time.
+    // even without --admin-port): the model registry, the store, and the
+    // server and ingest pipeline built on the model registry all record
+    // into this one obs registry.
     auto obs_registry = std::make_shared<obs::Registry>();
     // Info gauge: constant 1, the backend name rides in the label so a
     // mixed fleet shows up as distinct series on one dashboard.
@@ -367,13 +368,12 @@ int main(int argc, char** argv) {
                    "label carries scalar|avx2|neon)",
                    {{"backend", simd::BackendName(simd_backend)}})
         ->Set(1);
-    auto registry = std::make_shared<serve::ModelRegistry>(predict_threads);
-    registry->AttachObs(obs_registry);
-    ingest_config.obs = obs_registry;
+    auto registry = std::make_shared<serve::ModelRegistry>(
+        predict_threads, nullptr, obs_registry);
     std::shared_ptr<store::ModelStore> model_store;
     if (!store_dir.empty()) {
-      model_store = std::make_shared<store::ModelStore>(store_dir);
-      model_store->AttachObs(obs_registry);
+      model_store =
+          std::make_shared<store::ModelStore>(store_dir, obs_registry);
       registry->AttachStore(model_store);
       ingest_config.model_store = model_store;
     }
@@ -421,7 +421,6 @@ int main(int argc, char** argv) {
     serve::Server server(registry, config);
     if (pipeline != nullptr) server.AttachIngest(pipeline);
     if (model_store != nullptr) server.AttachStore(model_store);
-    server.AttachObs(obs_registry);
     server.Start();
     std::printf(
         "grafics_served: serving %zu model(s) (default %s) on %s:%u "
@@ -479,9 +478,9 @@ int main(int argc, char** argv) {
     // only then the registry the pipeline publishes into. Stopping the
     // registry first would make the pipeline's final publishes fail and
     // lose accepted records from the served model (they would survive only
-    // in the journal). The admin listener goes down first of all: its
-    // scrape hooks read every other layer, so nothing may still be
-    // rendering /metrics while those layers tear down.
+    // in the journal). The admin listener goes down first of all, so no
+    // /metrics render is still walking the registry's models while those
+    // layers tear down.
     if (admin != nullptr) admin->Stop();
     server.Stop();
     if (pipeline != nullptr) pipeline->Stop();

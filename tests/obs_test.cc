@@ -1,9 +1,9 @@
-// Tests for the telemetry layer: instrument semantics (counter sync,
-// histogram bucket edges), registry resolution rules (stable handles,
-// kind/help/bounds conflicts, name validation), Prometheus text exposition
-// (cumulative buckets, label escaping), collection hooks and quiescent
-// ScopedHook detach, per-request traces, and concurrent updates from many
-// threads (the TSan target for the lock-free hot path).
+// Tests for the telemetry layer: instrument semantics (counter and gauge
+// arithmetic, histogram bucket edges), registry resolution rules (stable
+// handles, kind/help/bounds conflicts, name validation), Prometheus text
+// exposition (cumulative buckets, label escaping), collection hooks and
+// quiescent ScopedHook detach, per-request traces, and concurrent updates
+// from many threads (the TSan target for the lock-free hot path).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,18 +19,12 @@
 namespace grafics::obs {
 namespace {
 
-TEST(CounterTest, AddAccumulatesAndSyncToIsMonotonic) {
+TEST(CounterTest, AddAccumulates) {
   Registry registry;
   Counter* counter = registry.GetCounter("grafics_test_total", "help");
   counter->Add();
   counter->Add(9);
   EXPECT_EQ(counter->value(), 10u);
-  // SyncTo raises to a larger lifetime total...
-  counter->SyncTo(25);
-  EXPECT_EQ(counter->value(), 25u);
-  // ...but a stale (smaller) sync never moves it backward.
-  counter->SyncTo(7);
-  EXPECT_EQ(counter->value(), 25u);
 }
 
 TEST(GaugeTest, SetAddSubAreSigned) {
@@ -69,10 +63,27 @@ TEST(HistogramTest, BucketPresets) {
   EXPECT_EQ(PowerOfTwoBuckets(100),
             (std::vector<std::uint64_t>{1, 2, 4, 8, 16, 32, 64}));
   EXPECT_EQ(PowerOfTwoBuckets(1), (std::vector<std::uint64_t>{1}));
-  const std::vector<std::uint64_t> latency = DefaultLatencyBucketsUs();
-  ASSERT_FALSE(latency.empty());
-  EXPECT_EQ(latency.front(), 50u);
-  EXPECT_EQ(latency.back(), 1000000u);
+  // About 10% steps from 50us to 1ms (where a served predict's stages
+  // fall), 1-2-5 steps outside.
+  EXPECT_EQ(DefaultLatencyBucketsUs(),
+            (std::vector<std::uint64_t>{
+                10,     20,     50,     55,     60,     65,     70,     75,
+                80,     90,     100,    110,    120,    130,    140,    150,
+                160,    180,    200,    220,    240,    260,    280,    300,
+                330,    360,    400,    440,    480,    520,    560,    600,
+                650,    700,    750,    800,    900,    1000,   2000,   5000,
+                10000,  20000,  50000,  100000, 200000, 500000, 1000000}));
+  // A 265us and a 400us predict land in different buckets.
+  Registry registry;
+  Histogram* latency = registry.GetHistogram("grafics_test_us", "help",
+                                             DefaultLatencyBucketsUs());
+  latency->Observe(265);
+  latency->Observe(400);
+  std::size_t occupied = 0;
+  for (std::size_t i = 0; i <= latency->bounds().size(); ++i) {
+    occupied += latency->bucket(i) > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(occupied, 2u);
 }
 
 TEST(RegistryTest, SameNameAndLabelsResolveTheSameInstrument) {

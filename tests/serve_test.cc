@@ -987,15 +987,12 @@ TEST(AdminServerTest, ServesMetricsHealthAndReadiness) {
 TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
   const Fixture& f = ModelA();
   auto obs_registry = std::make_shared<obs::Registry>();
-  auto registry = std::make_shared<ModelRegistry>();
-  // Attach BEFORE Load so the per-model latency histograms resolve.
-  registry->AttachObs(obs_registry);
+  auto registry = std::make_shared<ModelRegistry>(1, nullptr, obs_registry);
   registry->Load("alpha", f.model);
   ServerConfig config;
   config.slow_request_us = 1;  // every request counts (and logs) as slow
   config.idle_timeout = std::chrono::milliseconds(100);
   Server server(registry, config);
-  server.AttachObs(obs_registry);
   server.Start();
   obs::AdminServer admin(
       {}, [obs_registry] { return obs_registry->RenderPrometheus(); },
@@ -1026,9 +1023,11 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
   const StatsResponse stats = stats_client.Stats();
   ASSERT_EQ(stats.models.size(), 1u);
 
-  // The scrape happens after the Stats round trip, so scraped transport
-  // counters are >= the wire-reported ones; dispatch counters are quiescent
-  // (no predict between the two) and must match exactly.
+  // No traffic reaches the daemon between the Stats reply and the scrape:
+  // the scrape goes through the admin listener, whose loop counts into its
+  // own registry. Both views read the same instruments and must match
+  // exactly. (frames_out and bytes_out would still differ by the Stats
+  // reply itself, counted once it is flushed.)
   const std::string response = HttpGet(admin.port(), "/metrics");
   EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos);
   const std::size_t body_at = response.find("\r\n\r\n");
@@ -1046,9 +1045,11 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
       MetricValue(body,
                   "grafics_model_snapshot_shared_bytes{model=\"alpha\"}"),
       stats.models[0].shared_bytes);
-  EXPECT_GE(*MetricValue(body, "grafics_transport_frames_in_total"),
+  EXPECT_EQ(MetricValue(body, "grafics_transport_frames_in_total"),
             stats.transport.frames_in);
-  EXPECT_GE(*MetricValue(body, "grafics_transport_accepts_total"),
+  EXPECT_EQ(MetricValue(body, "grafics_transport_bytes_in_total"),
+            stats.transport.bytes_in);
+  EXPECT_EQ(MetricValue(body, "grafics_transport_accepts_total"),
             stats.connections_accepted);
   EXPECT_GE(
       *MetricValue(body, "grafics_transport_connections_harvested_total"),
@@ -1079,31 +1080,69 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
   server.Stop();
 }
 
+// Per-name counters are Prometheus counters: an Unload does not reset them,
+// and a later Load of the same name keeps counting. The wire Stats reply
+// reads the same instruments, so every view reports the same totals.
+TEST(ServerTest, DispatchCountersAgreeAcrossUnloadAndReload) {
+  const Fixture& f = ModelA();
+  auto registry = AlphaRegistry();
+  registry->Load("beta", f.model);
+  Server server(registry);
+  server.Start();
+  Client client("127.0.0.1", server.port());
+  constexpr std::size_t kBefore = 5;
+  for (std::size_t i = 0; i < kBefore; ++i) {
+    EXPECT_EQ(client.Predict(f.queries[i], "beta"), f.reference[i]) << i;
+  }
+  registry->Unload("beta");
+  registry->Load("beta", f.model);
+  // One 4-record request on the single-thread pool is one task.
+  constexpr std::size_t kAfter = 4;
+  const std::vector<rf::SignalRecord> after(f.queries.begin(),
+                                            f.queries.begin() + kAfter);
+  const auto served = client.PredictBatch(after, "beta");
+  for (std::size_t i = 0; i < kAfter; ++i) {
+    EXPECT_EQ(served[i], f.reference[i]) << i;
+  }
+
+  const StatsResponse stats = client.Stats("beta");
+  ASSERT_EQ(stats.models.size(), 1u);
+  const ModelStats& beta = stats.models[0];
+  EXPECT_EQ(beta.requests, kBefore + kAfter);
+  EXPECT_EQ(beta.batches, kBefore + 1);
+  EXPECT_EQ(beta.generation, 1u);  // a fresh load restarts the generation
+  const std::string text = client.Metrics();
+  EXPECT_EQ(MetricValue(text, "grafics_batcher_requests_total{model=\"beta\"}"),
+            beta.requests);
+  EXPECT_EQ(MetricValue(text, "grafics_batcher_batches_total{model=\"beta\"}"),
+            beta.batches);
+  EXPECT_EQ(
+      MetricValue(text, "grafics_batcher_batch_size_count{model=\"beta\"}"),
+      beta.batches);
+  server.Stop();
+}
+
 TEST(ServerTest, TelemetryCoversIngestAndStoreFamilies) {
   const Fixture& f = ModelA();
   auto obs_registry = std::make_shared<obs::Registry>();
-  auto registry = std::make_shared<ModelRegistry>();
-  registry->AttachObs(obs_registry);
+  auto registry = std::make_shared<ModelRegistry>(1, nullptr, obs_registry);
   registry->Load("alpha", f.model);
   // A fresh store directory every run: artifact counts below are absolute.
   std::string dir_template = testing::TempDir() + "/grafics_obs_store_XXXXXX";
   std::vector<char> dir(dir_template.begin(), dir_template.end());
   dir.push_back('\0');
   ASSERT_NE(::mkdtemp(dir.data()), nullptr);
-  auto store = std::make_shared<store::ModelStore>(dir.data());
-  store->AttachObs(obs_registry);
+  auto store = std::make_shared<store::ModelStore>(dir.data(), obs_registry);
   store->WriteBase("alpha", f.model);
   ingest::IngestConfig ingest_config;
   const std::size_t n = std::min<std::size_t>(f.queries.size(), 4);
   ingest_config.fold_batch_size = n;
   ingest_config.max_delay = std::chrono::milliseconds(30000);
-  ingest_config.obs = obs_registry;
   auto pipeline =
       std::make_shared<ingest::IngestPipeline>(registry, ingest_config);
   pipeline->Attach("alpha");
   Server server(registry, {});
   server.AttachIngest(pipeline);
-  server.AttachObs(obs_registry);
   server.Start();
   Client client("127.0.0.1", server.port());
   const std::vector<rf::SignalRecord> stream(f.queries.begin(),
