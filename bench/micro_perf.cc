@@ -246,8 +246,7 @@ BENCHMARK(BM_HogwildTrainingThreads)
 // Tail latency matters more than the mean on the serving hot path, so these
 // collect a per-op sample every iteration and report p50/p99 alongside the
 // harness mean. The bench-smoke CI job exports them as
-// BENCH_simd_kernels.json (report-only); every bench labels itself with the
-// active kernel backend so runs on different fleets stay comparable.
+// BENCH_simd_kernels.json (report-only).
 
 /// Sorted-percentile (linear interpolation) + mean over per-op samples, in
 /// nanoseconds, attached as counters so they land in the JSON export.
@@ -292,7 +291,6 @@ void BM_DotKernel(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kBlock));
-  state.SetLabel(simd::BackendName(simd::ActiveBackend()));
   ReportLatencyPercentiles(state, std::move(samples_ns));
 }
 BENCHMARK(BM_DotKernel)->Arg(8)->Arg(64);
@@ -324,7 +322,6 @@ void BM_DistanceScan(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kBlockScans * rows));
-  state.SetLabel(simd::BackendName(simd::ActiveBackend()));
   ReportLatencyPercentiles(state, std::move(samples_ns));
 }
 BENCHMARK(BM_DistanceScan)->Arg(48)->Arg(1024);
@@ -398,7 +395,6 @@ void BM_RefineNewNodes(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(iterations));
-  state.SetLabel(simd::BackendName(simd::ActiveBackend()));
   ReportLatencyPercentiles(state, std::move(samples_ns));
 }
 BENCHMARK(BM_RefineNewNodes)->Arg(200)->Arg(600)->Unit(benchmark::kMicrosecond);
@@ -431,7 +427,6 @@ void BM_RefineOverlay(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(iterations));
-  state.SetLabel(simd::BackendName(simd::ActiveBackend()));
   ReportLatencyPercentiles(state, std::move(samples_ns));
 }
 BENCHMARK(BM_RefineOverlay)->Arg(600)->Unit(benchmark::kMicrosecond);

@@ -125,9 +125,9 @@ void WriteCowVectorSparseDelta(std::ostream& out,
 }
 
 /// Applies a sparse delta onto `target` (the loaded base). `read_elem(in,
-/// elem)` decodes one element in place — `elem` holds the base value for
-/// existing indices and is default-constructed for appended ones, so a
-/// prefix-sharing encoding can extend it instead of rewriting it.
+/// index, elem)` decodes element `index` in place — `elem` holds the base
+/// value for existing indices and is default-constructed for appended ones,
+/// so a prefix-sharing encoding can extend it instead of rewriting it.
 template <typename T, std::size_t kChunkSize, typename ReadElem>
 void ApplyCowVectorSparseDelta(std::istream& in,
                                CowVector<T, kChunkSize>& target,
@@ -143,14 +143,14 @@ void ApplyCowVectorSparseDelta(std::istream& in,
     Require(index < new_size,
             "ApplyCowVectorSparseDelta: element index out of range");
     if (index < target.size()) {
-      read_elem(in, target.MutableAt(index));
+      read_elem(in, index, target.MutableAt(index));
     } else {
       // Appended elements arrive in ascending order, each extending the
       // container by exactly one slot.
       Require(index == target.size(),
               "ApplyCowVectorSparseDelta: gap in appended elements");
       T element{};
-      read_elem(in, element);
+      read_elem(in, index, element);
       target.PushBack(std::move(element));
     }
   }

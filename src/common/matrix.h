@@ -4,8 +4,8 @@
 // substrate and the baselines. It deliberately stays small: double storage,
 // row-major, bounds-checked accessors in debug builds, and the handful of
 // BLAS-level-2/3 operations the library needs. All inner loops (dot, axpy,
-// squared distance, the mat-vec products) dispatch through the vector-kernel
-// layer in common/simd.h, which selects scalar/AVX2/NEON once per process;
+// squared distance, the mat-vec products) go through the vector-kernel
+// layer in common/simd.h, which fixes one reduction order on every host;
 // these span-based wrappers add the dimension checks.
 #pragma once
 

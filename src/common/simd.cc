@@ -1,205 +1,41 @@
-// Scalar reference kernels + runtime backend dispatch.
-//
-// This translation unit is compiled with -ffp-contract=off (see
-// CMakeLists.txt): the scalar kernels are the repo's bit-identity anchor —
-// the exact accumulation order of the pre-SIMD loops in common/matrix.cc —
-// and a compiler-contracted FMA would silently change their roundings.
+// The out-of-line kernels of common/simd.h. Reductions follow the one
+// lane order documented there; do not "improve" them with pairwise
+// summation or a different lane count — that would change answers, and
+// the goldens in tests/simd_test.cc pin them to the last bit.
 #include "common/simd.h"
-
-#include <array>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <string>
-
-#include "common/error.h"
 
 namespace grafics::simd {
 
-namespace {
-
-// --- scalar backend --------------------------------------------------------
-// Accumulation order matches the pre-SIMD loops exactly; do not "improve"
-// these with pairwise summation or unrolled partial sums — that would break
-// the scalar bit-identity guarantee the replay/replication layers pin on.
-
-double ScalarDot(const double* a, const double* b, std::size_t n) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-double ScalarSquaredL2Distance(const double* a, const double* b,
-                               std::size_t n) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
+double SquaredL2Distance(const double* a, const double* b, std::size_t n) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      const double d = a[i + j] - b[i + j];
+      lane[j] += d * d;
+    }
+  }
+  double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (; i < n; ++i) {
     const double d = a[i] - b[i];
     sum += d * d;
   }
   return sum;
 }
 
-void ScalarAxpy(double alpha, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void ScalarDotMany(const double* query, const double* rows,
-                   std::size_t num_rows, std::size_t cols, double* out) {
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = ScalarDot(query, rows + r * cols, cols);
-  }
-}
-
-void ScalarSquaredL2DistanceMany(const double* query, const double* rows,
-                                 std::size_t num_rows, std::size_t cols,
-                                 double* out) {
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = ScalarSquaredL2Distance(query, rows + r * cols, cols);
-  }
-}
-
-constexpr Kernels kScalarKernels = {
-    ScalarDot,
-    ScalarSquaredL2Distance,
-    ScalarAxpy,
-    ScalarDotMany,
-    ScalarSquaredL2DistanceMany,
-};
-
-// --- dispatch --------------------------------------------------------------
-
-struct Dispatch {
-  Backend backend = Backend::kScalar;
-  const Kernels* kernels = &kScalarKernels;
-};
-
-std::atomic<const Dispatch*> g_active{nullptr};
-std::once_flag g_resolve_once;
-
-/// Best backend this build/CPU supports, in preference order.
-Backend DetectBackend() {
-  if (KernelsFor(Backend::kAvx2) != nullptr) return Backend::kAvx2;
-  if (KernelsFor(Backend::kNeon) != nullptr) return Backend::kNeon;
-  return Backend::kScalar;
-}
-
-/// One immutable Dispatch per backend, built once under the magic-static
-/// lock: unavailable backends carry a null kernel table and are filtered by
-/// the callers, and concurrent PinBackend/resolution only ever publish
-/// pointers into this frozen array.
-const Dispatch* MakeDispatch(Backend backend) {
-  static const std::array<Dispatch, 3> dispatches = [] {
-    return std::array<Dispatch, 3>{{
-        {Backend::kScalar, &kScalarKernels},
-        {Backend::kAvx2, KernelsFor(Backend::kAvx2)},
-        {Backend::kNeon, KernelsFor(Backend::kNeon)},
-    }};
-  }();
-  return &dispatches[static_cast<std::size_t>(backend)];
-}
-
-/// First-use resolution: GRAFICS_SIMD override, else CPU detection. An
-/// explicitly named but unavailable backend degrades to scalar with a
-/// warning — never a different SIMD backend, so the operator's determinism
-/// intent (one named backend fleet-wide) is preserved conservatively.
-void ResolveOnce() {
-  std::call_once(g_resolve_once, [] {
-    // A PinBackend that raced resolution wins; don't overwrite it.
-    if (g_active.load(std::memory_order_acquire) != nullptr) return;
-    Backend chosen = Backend::kScalar;
-    const char* env = std::getenv("GRAFICS_SIMD");
-    if (env != nullptr && env[0] != '\0') {
-      const Backend requested = ParseBackendName(env);
-      if (KernelsFor(requested) != nullptr) {
-        chosen = requested;
-      } else {
-        std::fprintf(stderr,
-                     "grafics: GRAFICS_SIMD=%s unavailable on this "
-                     "build/CPU; falling back to scalar kernels\n",
-                     env);
-      }
-    } else {
-      chosen = DetectBackend();
-    }
-    g_active.store(MakeDispatch(chosen), std::memory_order_release);
-  });
-}
-
-const Dispatch* Active() {
-  const Dispatch* d = g_active.load(std::memory_order_acquire);
-  if (d != nullptr) return d;
-  ResolveOnce();
-  return g_active.load(std::memory_order_acquire);
-}
-
-}  // namespace
-
-const char* BackendName(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kAvx2:
-      return "avx2";
-    case Backend::kNeon:
-      return "neon";
-  }
-  return "scalar";
-}
-
-Backend ParseBackendName(const char* name) {
-  Require(name != nullptr, "simd backend name must not be null");
-  if (std::strcmp(name, "scalar") == 0) return Backend::kScalar;
-  if (std::strcmp(name, "avx2") == 0) return Backend::kAvx2;
-  if (std::strcmp(name, "neon") == 0) return Backend::kNeon;
-  throw Error("unknown simd backend '" + std::string(name) +
-              "' (expected scalar|avx2|neon)");
-}
-
-const Kernels* KernelsFor(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return &kScalarKernels;
-    case Backend::kAvx2:
-      return internal::Avx2Kernels();
-    case Backend::kNeon:
-      return internal::NeonKernels();
-  }
-  return nullptr;
-}
-
-Backend ActiveBackend() { return Active()->backend; }
-
-bool PinBackend(Backend backend) {
-  const Kernels* kernels = KernelsFor(backend);
-  if (kernels == nullptr) return false;
-  g_active.store(MakeDispatch(backend), std::memory_order_release);
-  return true;
-}
-
-double Dot(const double* a, const double* b, std::size_t n) {
-  return Active()->kernels->dot(a, b, n);
-}
-
-double SquaredL2Distance(const double* a, const double* b, std::size_t n) {
-  return Active()->kernels->squared_l2_distance(a, b, n);
-}
-
-void Axpy(double alpha, const double* x, double* y, std::size_t n) {
-  Active()->kernels->axpy(alpha, x, y, n);
-}
-
 void DotMany(const double* query, const double* rows, std::size_t num_rows,
              std::size_t cols, double* out) {
-  Active()->kernels->dot_many(query, rows, num_rows, cols, out);
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    out[r] = Dot(query, rows + r * cols, cols);
+  }
 }
 
 void SquaredL2DistanceMany(const double* query, const double* rows,
                            std::size_t num_rows, std::size_t cols,
                            double* out) {
-  Active()->kernels->squared_l2_distance_many(query, rows, num_rows, cols,
-                                              out);
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    out[r] = SquaredL2Distance(query, rows + r * cols, cols);
+  }
 }
 
 }  // namespace grafics::simd

@@ -25,7 +25,7 @@ void SampledStep(std::span<const double> src, std::span<double> grad_src,
                  std::span<const graph::NodeId> node_of_index,
                  std::size_t negatives, double lr, bool update_targets,
                  Rng& rng) {
-  // Offline training's inner step: straight to the dispatched simd kernels
+  // Offline training's inner step: straight to the runtime-length kernels
   // — every row here is `dim` long by EmbeddingStore construction, so the
   // span-level dimension re-checks in the matrix.cc wrappers would be pure
   // overhead. (The per-query refine loop below uses kernel policies.)
@@ -210,23 +210,23 @@ namespace {
 // --- refine kernel policies ------------------------------------------------
 // The refine loop below is written once against a kernel policy: Dot and
 // Axpy over one row, the gradient buffer, and its fused apply. The policy is
-// chosen once per RefineNewNodes call (WithRefineKernels) and every choice
-// is bit-identical to the dispatched kernels of the active backend.
+// chosen once per RefineNewNodes call (WithRefineKernels); both policies
+// compute the same bits.
 
-/// Dim D on the scalar or AVX2 backend: the inline fixed-dim kernels in
-/// `Order`, and the gradient on the stack.
-template <std::size_t D, simd::SumOrder Order>
+/// Dim D: the inline kernels with the dim a constant, and the gradient on
+/// the stack.
+template <std::size_t D>
 struct FixedDimKernels {
   std::array<double, D> grad{};
 
   double Dot(const double* a, const double* b) const {
-    return simd::FixedDot<D, Order>(a, b);
+    return simd::Dot(a, b, D);
   }
   void Axpy(double alpha, const double* x, double* y) const {
-    simd::FixedAxpy<D>(alpha, x, y);
+    simd::Axpy(alpha, x, y, D);
   }
   /// dst += grad, then grad = 0, in one pass. `dst[c] + grad[c]` equals
-  /// the dispatched path's `dst[c] + 1.0 * grad[c]` exactly.
+  /// the runtime-dim path's `dst[c] + 1.0 * grad[c]` exactly.
   void ApplyGradient(double* dst) {
     for (std::size_t c = 0; c < D; ++c) {
       dst[c] += grad[c];
@@ -235,53 +235,34 @@ struct FixedDimKernels {
   }
 };
 
-/// Every other dim, and the NEON backend: the active backend's kernel
-/// table, looked up once.
-struct DispatchedKernels {
-  explicit DispatchedKernels(std::size_t dim)
-      : table(simd::KernelsFor(simd::ActiveBackend())), grad(dim, 0.0) {}
+/// Every other dim: the runtime-length kernels.
+struct RuntimeDimKernels {
+  explicit RuntimeDimKernels(std::size_t dim) : grad(dim, 0.0) {}
 
-  const simd::Kernels* table;
   std::vector<double> grad;
 
   double Dot(const double* a, const double* b) const {
-    return table->dot(a, b, grad.size());
+    return simd::Dot(a, b, grad.size());
   }
   void Axpy(double alpha, const double* x, double* y) const {
-    table->axpy(alpha, x, y, grad.size());
+    simd::Axpy(alpha, x, y, grad.size());
   }
   void ApplyGradient(double* dst) {
-    table->axpy(1.0, grad.data(), dst, grad.size());
+    simd::Axpy(1.0, grad.data(), dst, grad.size());
     std::fill(grad.begin(), grad.end(), 0.0);
   }
 };
 
-template <simd::SumOrder Order, typename Body>
-bool WithFixedDim(std::size_t dim, Body& body) {
-  // Dim 8 is the one every deployment and benchmark runs (TrainerConfig's
-  // default); other dims take the dispatched kernels, which reproduce every
-  // backend's order too.
-  if (dim != 8) return false;
-  FixedDimKernels<8, Order> kernels;
-  body(kernels);
-  return true;
-}
-
-/// Runs `body(kernels)` with the policy for `dim` on the active backend.
-/// NEON reduces in two lanes and keeps the dispatched kernels.
+/// Runs `body(kernels)` with the policy for `dim`. Dim 8 is the one every
+/// deployment and benchmark runs (TrainerConfig's default).
 template <typename Body>
 void WithRefineKernels(std::size_t dim, Body&& body) {
-  switch (simd::ActiveBackend()) {
-    case simd::Backend::kScalar:
-      if (WithFixedDim<simd::SumOrder::kScalar>(dim, body)) return;
-      break;
-    case simd::Backend::kAvx2:
-      if (WithFixedDim<simd::SumOrder::kAvx2Lanes>(dim, body)) return;
-      break;
-    case simd::Backend::kNeon:
-      break;
+  if (dim == 8) {
+    FixedDimKernels<8> kernels;
+    body(kernels);
+    return;
   }
-  DispatchedKernels kernels(dim);
+  RuntimeDimKernels kernels(dim);
   body(kernels);
 }
 

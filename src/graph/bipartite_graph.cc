@@ -378,27 +378,50 @@ void BipartiteGraph::ApplyDelta(std::istream& in) {
   num_edges_ = ReadU64(in);
   num_active_macs_ = ReadU64(in);
   total_edge_weight_ = ReadDouble(in);
-  ApplyCowVectorSparseDelta(in, meta_, [](std::istream& i, NodeMeta& meta) {
-    meta.type = static_cast<NodeType>(ReadU8(i));
-    meta.active = ReadU8(i) != 0;
-    meta.weighted_degree = ReadDouble(i);
-  });
   ApplyCowVectorSparseDelta(
-      in, adjacency_, [](std::istream& i, std::vector<Neighbor>& list) {
+      in, meta_, [](std::istream& i, std::size_t, NodeMeta& meta) {
+        meta.type = static_cast<NodeType>(ReadU8(i));
+        meta.active = ReadU8(i) != 0;
+        meta.weighted_degree = ReadDouble(i);
+      });
+  // Every id below is checked against the node table just applied: the
+  // lists are read back by node id (Ego(nb.node), the MAC-side rebuild), so
+  // a hostile or corrupt delta must fail here as an Error, not later as an
+  // out-of-bounds read.
+  ApplyCowVectorSparseDelta(
+      in, adjacency_,
+      [this](std::istream& i, std::size_t owner,
+             std::vector<Neighbor>& list) {
+        Require(owner < meta_.size(),
+                "BipartiteGraph::ApplyDelta: neighbor list of no node");
+        // Bipartite: a record's neighbors are MACs, a MAC's are records.
+        const NodeType neighbor_type = meta_[owner].type == NodeType::kRecord
+                                           ? NodeType::kMac
+                                           : NodeType::kRecord;
         const std::uint32_t prefix = ReadU32(i);
         Require(prefix <= list.size(),
                 "BipartiteGraph::ApplyDelta: neighbor prefix exceeds base");
         list.resize(prefix);
         const std::uint32_t appended = ReadU32(i);
-        list.reserve(prefix + appended);
+        // 12 bytes per neighbor (u32 id + f64 weight): a hostile count
+        // fails here instead of reserving up to 64 GiB.
+        RequireAvailable(i, appended, 12,
+                         "BipartiteGraph::ApplyDelta: neighbor list");
+        list.reserve(std::size_t{prefix} + appended);
         for (std::uint32_t e = 0; e < appended; ++e) {
           const NodeId node = ReadU32(i);
           const double weight = ReadDouble(i);
+          Require(node < meta_.size() && meta_[node].type == neighbor_type,
+                  "BipartiteGraph::ApplyDelta: bad neighbor id");
           list.push_back({node, weight});
         }
       });
-  ApplyCowVectorDelta(in, record_nodes_,
-                      [](std::istream& i) -> NodeId { return ReadU32(i); });
+  ApplyCowVectorDelta(in, record_nodes_, [this](std::istream& i) -> NodeId {
+    const NodeId node = ReadU32(i);
+    Require(node < meta_.size() && meta_[node].type == NodeType::kRecord,
+            "BipartiteGraph::ApplyDelta: bad record id");
+    return node;
+  });
   Require(meta_.size() == adjacency_.size(),
           "BipartiteGraph::ApplyDelta: meta/adjacency size mismatch");
   const std::uint8_t shared_base = ReadU8(in);

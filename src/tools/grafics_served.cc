@@ -70,13 +70,6 @@
 //   --slow-request-us N  log any predict whose total latency exceeds N
 //                     microseconds to stderr with a per-stage trace
 //                     breakdown (0 disables; independent of --admin-port)
-//   --simd NAME       pin the vector-kernel backend (scalar|avx2|neon)
-//                     before any model loads. Unlike the GRAFICS_SIMD
-//                     environment variable (which degrades to scalar with a
-//                     warning), an unavailable backend here is a hard usage
-//                     error — an operator pinning a fleet wants to know.
-//                     The active backend is exported as the info-gauge
-//                     grafics_simd_backend and logged at startup.
 //
 // Every flag takes exactly one value. An unknown flag (a typo such as
 // --thread) or a flag missing its value prints the usage text and exits
@@ -111,7 +104,6 @@
 
 #include "common/cli_flags.h"
 #include "common/error.h"
-#include "common/simd.h"
 #include "core/grafics.h"
 #include "ingest/ingest_pipeline.h"
 #include "obs/admin_server.h"
@@ -167,8 +159,7 @@ int Usage() {
       "[--ingest-max-pending N]\n"
       "                      [--store-dir D] [--compact-every-n-folds N]\n"
       "                      [--max-journal-bytes B] [--admin-port P]\n"
-      "                      [--admin-port-file F] [--slow-request-us N]\n"
-      "                      [--simd scalar|avx2|neon]\n");
+      "                      [--admin-port-file F] [--slow-request-us N]\n");
   return 1;
 }
 
@@ -334,23 +325,9 @@ int main(int argc, char** argv) {
           ParseUnsigned(admin_port_flag, 65535, "--admin-port"));
     }
     const std::vector<std::string> model_flags = flags.Values("--model");
-    const std::string simd_flag = flags.Value("--simd", "");
     const std::string default_name = flags.Value("--default", "");
     if (!flags.AllRead()) return 2;
     if (positional_model.empty() && model_flags.empty()) return Usage();
-
-    // Pin the vector-kernel backend before anything numeric runs (model
-    // load replays journals through the trainer). --simd is a hard error on
-    // an unavailable backend, unlike the GRAFICS_SIMD env fallback.
-    if (!simd_flag.empty()) {
-      Require(simd::PinBackend(simd::ParseBackendName(simd_flag.c_str())),
-              "--simd " + simd_flag + ": backend unavailable on this "
-              "build/CPU");
-    }
-    const simd::Backend simd_backend = simd::ActiveBackend();
-    std::printf("grafics_served: simd backend = %s\n",
-                simd::BackendName(simd_backend));
-    std::fflush(stdout);
 
     // Before the (slow) model loads: an early SIGHUP must queue a reload,
     // not kill the process with the default action.
@@ -360,14 +337,6 @@ int main(int argc, char** argv) {
     // server and ingest pipeline built on the model registry all record
     // into this one obs registry.
     auto obs_registry = std::make_shared<obs::Registry>();
-    // Info gauge: constant 1, the backend name rides in the label so a
-    // mixed fleet shows up as distinct series on one dashboard.
-    obs_registry
-        ->GetGauge("grafics_simd_backend",
-                   "Active vector-kernel backend (info gauge; the backend "
-                   "label carries scalar|avx2|neon)",
-                   {{"backend", simd::BackendName(simd_backend)}})
-        ->Set(1);
     auto registry = std::make_shared<serve::ModelRegistry>(
         predict_threads, nullptr, obs_registry);
     std::shared_ptr<store::ModelStore> model_store;

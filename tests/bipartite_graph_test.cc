@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
+#include "common/serialize.h"
 
 namespace grafics::graph {
 namespace {
@@ -158,6 +163,74 @@ TEST(BipartiteGraphTest, BadNodeIdsThrow) {
 TEST(BipartiteGraphTest, NonPositiveWeightRejected) {
   BipartiteGraph g;
   EXPECT_THROW(g.AddRecord(MakeRecord({{1, -130.0}}), OffsetWeight(120.0)),
+               Error);
+}
+
+/// A delta over `g`, in SaveDelta's layout, that leaves the node table as
+/// it is, replaces `owner`'s neighbor list with `ids` while declaring
+/// `appended` of them, and rewrites the record table to `records`.
+std::string CraftedDelta(const BipartiteGraph& g, NodeId owner,
+                         std::uint32_t appended,
+                         const std::vector<NodeId>& ids,
+                         const std::vector<NodeId>& records) {
+  std::ostringstream out;
+  WriteU64(out, 0);  // removal epoch
+  WriteU64(out, g.NumEdges());
+  WriteU64(out, g.NumMacs());
+  WriteDouble(out, 1.0);  // total edge weight
+  WriteU64(out, g.NumNodes());  // node table: same size, nothing changed
+  WriteU64(out, 0);
+  WriteU64(out, g.NumNodes());  // adjacency: one changed list
+  WriteU64(out, 1);
+  WriteU32(out, owner);
+  WriteU32(out, 0);  // shared prefix
+  WriteU32(out, appended);
+  for (const NodeId id : ids) {
+    WriteU32(out, id);
+    WriteDouble(out, 1.0);
+  }
+  WriteU64(out, records.size());  // record table: its one chunk rewritten
+  WriteU32(out, 1);
+  WriteU32(out, 0);
+  WriteU32(out, static_cast<std::uint32_t>(records.size()));
+  for (const NodeId id : records) WriteU32(out, id);
+  WriteU8(out, 1);  // MAC index: shared base, no new entries
+  WriteU64(out, 0);
+  return out.str();
+}
+
+void ApplyCrafted(BipartiteGraph g, const std::string& delta) {
+  std::istringstream in(delta);
+  g.ApplyDelta(in);
+}
+
+TEST(BipartiteGraphTest, ApplyDeltaRejectsHostileBytes) {
+  BipartiteGraph g;
+  g.AddRecord(MakeRecord({{1, -60.0}, {2, -65.0}}), kWeight);
+  g.AddRecord(MakeRecord({{2, -70.0}, {3, -70.0}}), kWeight);
+  const NodeId r0 = g.RecordNode(0);
+  const NodeId r1 = g.RecordNode(1);
+  const NodeId mac = g.NeighborsOf(r0)[0].node;
+  const std::vector<NodeId> records = {r0, r1};
+
+  // Well-formed: the same layout with valid ids applies.
+  ASSERT_NO_THROW(ApplyCrafted(g, CraftedDelta(g, r0, 1, {mac}, records)));
+
+  // A neighbor count the stream cannot hold fails before any allocation.
+  EXPECT_THROW(ApplyCrafted(g, CraftedDelta(g, r0, 0xFFFFFFFFu, {}, records)),
+               Error);
+  // Neighbor ids past the node table, or on the owner's own side.
+  const auto past_end = static_cast<NodeId>(g.NumNodes() + 100);
+  EXPECT_THROW(ApplyCrafted(g, CraftedDelta(g, r0, 1, {past_end}, records)),
+               Error);
+  EXPECT_THROW(ApplyCrafted(g, CraftedDelta(g, r0, 1, {r1}, records)),
+               Error);
+  EXPECT_THROW(ApplyCrafted(g, CraftedDelta(g, mac, 1, {mac}, records)),
+               Error);
+  // A record table entry past the node table, or naming a MAC.
+  EXPECT_THROW(
+      ApplyCrafted(g, CraftedDelta(g, r0, 1, {mac}, {r0, past_end})), Error);
+  EXPECT_THROW(ApplyCrafted(g, CraftedDelta(g, r0, 1, {mac}, {r0, mac})),
                Error);
 }
 
