@@ -1,5 +1,6 @@
 #include "cluster/centroid_classifier.h"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <limits>
@@ -89,19 +90,27 @@ std::pair<std::size_t, double> CentroidClassifier::Nearest(
     std::span<const double> embedding) const {
   Require(embedding.size() == centroids_.cols(),
           "CentroidClassifier::Nearest: dimension mismatch");
-  // One batched scan over the packed centroid matrix, then an in-order
-  // strict-< argmin — same winner on ties (lowest index) as the old
-  // per-row loop.
-  std::vector<double> dists(centroids_.rows());
-  simd::SquaredL2DistanceMany(embedding.data(), centroids_.data(),
-                              centroids_.rows(), centroids_.cols(),
-                              dists.data());
+  // Batched scans over the packed centroid matrix, a block of rows at a
+  // time into a stack buffer (no heap allocation per query; each row's
+  // distance is computed on its own, so blocking changes no bits), then an
+  // in-order strict-< argmin — same winner on ties (lowest index) as the
+  // old per-row loop.
+  constexpr std::size_t kBlock = 64;
+  double dists[kBlock];
+  const std::size_t rows = centroids_.rows();
+  const std::size_t cols = centroids_.cols();
   std::size_t best = 0;
   double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < dists.size(); ++k) {
-    if (dists[k] < best_dist) {
-      best_dist = dists[k];
-      best = k;
+  for (std::size_t first = 0; first < rows; first += kBlock) {
+    const std::size_t n = std::min(kBlock, rows - first);
+    simd::SquaredL2DistanceMany(embedding.data(),
+                                centroids_.data() + first * cols, n, cols,
+                                dists);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (dists[k] < best_dist) {
+        best_dist = dists[k];
+        best = first + k;
+      }
     }
   }
   return {best, std::sqrt(best_dist)};

@@ -8,6 +8,12 @@
 namespace grafics {
 
 AliasSampler::AliasSampler(const std::vector<double>& weights) {
+  BuildScratch scratch;
+  Assign(weights, scratch);
+}
+
+void AliasSampler::Assign(std::span<const double> weights,
+                          BuildScratch& scratch) {
   Require(!weights.empty(), "AliasSampler: weights must be non-empty");
   double total = 0.0;
   for (double w : weights) {
@@ -23,11 +29,15 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   for (std::size_t i = 0; i < n; ++i) normalized_[i] = weights[i] / total;
 
   // Scaled probabilities; split into under- and over-full buckets.
-  std::vector<double> scaled(n);
+  std::vector<double>& scaled = scratch.scaled;
+  scaled.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     scaled[i] = normalized_[i] * static_cast<double>(n);
   }
-  std::vector<std::size_t> small, large;
+  std::vector<std::size_t>& small = scratch.small;
+  std::vector<std::size_t>& large = scratch.large;
+  small.clear();
+  large.clear();
   small.reserve(n);
   large.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -16,10 +17,23 @@ namespace grafics {
 /// Immutable discrete distribution supporting O(1) draws after O(n) setup.
 class AliasSampler {
  public:
+  /// Temporaries of a table build, kept by callers that rebuild often.
+  struct BuildScratch {
+    std::vector<double> scaled;
+    std::vector<std::size_t> small;
+    std::vector<std::size_t> large;
+  };
+
   AliasSampler() = default;
 
   /// Builds the alias table from non-negative weights (not all zero).
   explicit AliasSampler(const std::vector<double>& weights);
+
+  /// Rebuilds this sampler from `weights` in place: the same table, and so
+  /// the same draws, as AliasSampler(weights), but reusing this sampler's
+  /// and `scratch`'s storage, so it allocates nothing once their capacities
+  /// cover weights.size().
+  void Assign(std::span<const double> weights, BuildScratch& scratch);
 
   /// Draws an index in [0, size()) with probability proportional to weight.
   /// Forced inline: the per-query refine loop draws 1 + 2K of these per

@@ -44,17 +44,20 @@ void WriteString(std::ostream& out, const std::string& value) {
 
 void RequireAvailable(std::istream& in, std::uint64_t count,
                       std::size_t element_bytes, const char* what) {
+  Require(count <= BytesLeft(in) / element_bytes,
+          std::string("serialize: ") + what +
+              " is larger than the rest of the stream");
+}
+
+std::uint64_t BytesLeft(std::istream& in) {
   std::streambuf* buffer = in.rdbuf();
   const std::streampos here =
       buffer->pubseekoff(0, std::ios::cur, std::ios::in);
-  if (here == std::streampos(-1)) return;
+  if (here == std::streampos(-1)) return UINT64_MAX;
   const std::streampos end = buffer->pubseekoff(0, std::ios::end, std::ios::in);
   buffer->pubseekpos(here, std::ios::in);
-  if (end == std::streampos(-1)) return;
-  const auto remaining = static_cast<std::uint64_t>(end - here);
-  Require(count <= remaining / element_bytes,
-          std::string("serialize: ") + what +
-              " is larger than the rest of the stream");
+  if (end == std::streampos(-1)) return UINT64_MAX;
+  return static_cast<std::uint64_t>(end - here);
 }
 
 std::string ReadString(std::istream& in) {

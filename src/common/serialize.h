@@ -45,6 +45,11 @@ std::optional<std::int32_t> ReadOptionalI32(std::istream& in);
 /// seek (pipes) report no size and pass.
 void RequireAvailable(std::istream& in, std::uint64_t count,
                       std::size_t element_bytes, const char* what);
+/// The bytes left in `in` past the read position (UINT64_MAX when the
+/// stream cannot seek). Probing seeks the stream, and a seek drops a file
+/// stream's read buffer: a decoder bounding many short lists probes once
+/// for the whole section rather than once per list.
+std::uint64_t BytesLeft(std::istream& in);
 
 /// Writes/checks a 4-byte magic plus u32 version.
 void WriteHeader(std::ostream& out, const char magic[4],

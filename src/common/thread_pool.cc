@@ -31,6 +31,7 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   {
     const MutexLock lock(&mutex_);
     Require(!stopping_, "ThreadPool::Submit after shutdown");
+    busy_.fetch_add(1, std::memory_order_acq_rel);
     tasks_.push(std::move(packaged));
   }
   condition_.NotifyOne();
@@ -67,6 +68,7 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
+    busy_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }
 

@@ -1,9 +1,12 @@
 // Fixed-size thread pool with a ParallelFor convenience wrapper.
 //
-// Used by the E-LINE trainer (hogwild-style asynchronous SGD shards) and by
-// embarrassingly parallel experiment sweeps in the bench harness.
+// Used by the E-LINE trainer (hogwild-style asynchronous SGD shards), by
+// embarrassingly parallel experiment sweeps in the bench harness, and by
+// the serving registry, which also runs a lone predict on its caller while
+// the pool is idle (TryRunHere).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <future>
@@ -30,6 +33,26 @@ class ThreadPool {
   std::future<void> Submit(std::function<void()> task)
       GRAFICS_EXCLUDES(mutex_);
 
+  /// Runs `fn` on the calling thread, but only if the pool is idle —
+  /// nothing queued, nothing running, no other TryRunHere in progress — and
+  /// claims the pool as busy while `fn` runs, so Submit callers and other
+  /// TryRunHere callers see one more task. Returns false without running
+  /// `fn` when the pool is busy. Exceptions from `fn` propagate (the claim
+  /// is released first).
+  template <typename Fn>
+  bool TryRunHere(Fn&& fn) {
+    std::size_t idle = 0;
+    if (!busy_.compare_exchange_strong(idle, 1, std::memory_order_acq_rel)) {
+      return false;
+    }
+    struct Release {
+      std::atomic<std::size_t>& busy;
+      ~Release() { busy.fetch_sub(1, std::memory_order_acq_rel); }
+    } release{busy_};
+    fn();
+    return true;
+  }
+
   /// Runs fn(begin..end) split into one contiguous chunk per worker and
   /// blocks until all chunks complete. fn receives (chunk_begin, chunk_end).
   void ParallelFor(std::size_t begin, std::size_t end,
@@ -43,6 +66,9 @@ class ThreadPool {
   CondVar condition_;
   std::queue<std::packaged_task<void()>> tasks_ GRAFICS_GUARDED_BY(mutex_);
   bool stopping_ GRAFICS_GUARDED_BY(mutex_) = false;
+  /// Tasks queued or running, plus a TryRunHere in progress: zero exactly
+  /// when the pool is idle. Raised at Submit, lowered once a task returns.
+  std::atomic<std::size_t> busy_{0};
 };
 
 }  // namespace grafics

@@ -308,6 +308,20 @@ void FrozenTerm(Kernels& kernels, const double* src,
   }
 }
 
+/// One refined node's edge sampler and the storage it is rebuilt in. One
+/// per thread, reused across nodes and queries: once its capacities cover
+/// the largest degree seen, building a node's table allocates nothing.
+struct NodeEdgeTable {
+  std::vector<double> weights;
+  AliasSampler sampler;
+  AliasSampler::BuildScratch build;
+};
+
+NodeEdgeTable& ThreadNodeEdgeTable() {
+  thread_local NodeEdgeTable table;
+  return table;
+}
+
 /// The refine loop of both RefineNewNodes overloads, for one kernel
 /// policy. `Graph` is BipartiteGraph or GraphOverlay; `Store` is
 /// EmbeddingStore or EmbeddingOverlay. Only `new_nodes` rows of `store`
@@ -326,6 +340,8 @@ void RefineLoop(Kernels& kernels, const Graph& graph,
   };
   const std::size_t k = config.negative_samples;
   Rng rng(config.seed ^ 0x5EEDFACEULL);
+  NodeEdgeTable& edge_table = ThreadNodeEdgeTable();
+  const AliasSampler& local_edges = edge_table.sampler;
 
   for (const graph::NodeId node : new_nodes) {
     const std::span<const graph::Neighbor> neighbors =
@@ -353,10 +369,11 @@ void RefineLoop(Kernels& kernels, const Graph& graph,
     double* const context = node_context.data();
 
     // Alias table over this node's incident edges.
-    std::vector<double> weights;
-    weights.reserve(neighbors.size());
-    for (const graph::Neighbor& nb : neighbors) weights.push_back(nb.weight);
-    const AliasSampler local_edges(weights);
+    edge_table.weights.clear();
+    for (const graph::Neighbor& nb : neighbors) {
+      edge_table.weights.push_back(nb.weight);
+    }
+    edge_table.sampler.Assign(edge_table.weights, edge_table.build);
 
     const double lr0 = config.initial_learning_rate;
     for (std::size_t s = 0; s < iterations; ++s) {

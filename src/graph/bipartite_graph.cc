@@ -262,34 +262,53 @@ BipartiteGraph BipartiteGraph::Load(std::istream& in) {
   Require(version >= 1 && version <= kGraphVersion,
           "BipartiteGraph::Load: unsupported format version " +
               std::to_string(version));
+  // Every count is bounded by the bytes left before its push loop, and
+  // every id is checked against the node table and the bipartition (as in
+  // ApplyDelta): hostile or corrupt bytes fail here as an Error, not as a
+  // huge allocation or a MAC-MAC edge.
   BipartiteGraph g;
   const std::uint64_t num_nodes = ReadU64(in);
+  RequireAvailable(in, num_nodes, 2, "BipartiteGraph::Load: node table");
   for (std::uint64_t i = 0; i < num_nodes; ++i) {
-    const auto type = static_cast<NodeType>(ReadU8(in));
+    const std::uint8_t type = ReadU8(in);
+    Require(type == static_cast<std::uint8_t>(NodeType::kRecord) ||
+                type == static_cast<std::uint8_t>(NodeType::kMac),
+            "BipartiteGraph::Load: bad node type");
     const bool active = ReadU8(in) != 0;
-    g.meta_.PushBack({type, active, 0.0});
+    g.meta_.PushBack({static_cast<NodeType>(type), active, 0.0});
     g.adjacency_.PushBack({});
   }
   const std::uint64_t num_records = ReadU64(in);
+  RequireAvailable(in, num_records, 4, "BipartiteGraph::Load: record table");
   for (std::uint64_t i = 0; i < num_records; ++i) {
     const NodeId node = ReadU32(in);
-    Require(node < num_nodes, "BipartiteGraph::Load: bad id");
+    Require(node < num_nodes && g.meta_[node].type == NodeType::kRecord,
+            "BipartiteGraph::Load: bad record id");
     g.record_nodes_.PushBack(node);
   }
   const std::uint64_t num_macs = ReadU64(in);
+  RequireAvailable(in, num_macs, 12, "BipartiteGraph::Load: MAC map");
   auto base = std::make_shared<MacMap>();
   g.num_active_macs_ = 0;
   for (std::uint64_t i = 0; i < num_macs; ++i) {
     const rf::MacAddress mac(ReadU64(in));
     const NodeId node = ReadU32(in);
-    Require(node < num_nodes, "BipartiteGraph::Load: bad MAC node id");
+    Require(node < num_nodes && g.meta_[node].type == NodeType::kMac,
+            "BipartiteGraph::Load: bad MAC node id");
     base->emplace(mac, node);
     if (g.meta_[node].active) ++g.num_active_macs_;
   }
   if (!base->empty()) g.mac_base_ = std::move(base);
+  // One probe for the whole adjacency section (see BytesLeft): no list is
+  // longer than the section, at 12 bytes per edge (u32 MAC id + f64
+  // weight).
+  const std::uint64_t max_degree = BytesLeft(in) / 12;
   for (std::uint64_t i = 0; i < num_records; ++i) {
     const NodeId record = g.record_nodes_[i];
     const std::uint64_t degree = ReadU64(in);
+    Require(degree <= max_degree,
+            "BipartiteGraph::Load: neighbor list is larger than the rest of "
+            "the stream");
     for (std::uint64_t e = 0; e < degree; ++e) {
       const NodeId mac = ReadU32(in);
       const double weight = ReadDouble(in);
@@ -387,11 +406,14 @@ void BipartiteGraph::ApplyDelta(std::istream& in) {
   // Every id below is checked against the node table just applied: the
   // lists are read back by node id (Ego(nb.node), the MAC-side rebuild), so
   // a hostile or corrupt delta must fail here as an Error, not later as an
-  // out-of-bounds read.
+  // out-of-bounds read. Appended counts are bounded by one probe for the
+  // whole section (see BytesLeft), 12 bytes per neighbor (u32 id + f64
+  // weight): a hostile count fails here instead of reserving up to 64 GiB.
+  const std::uint64_t max_appended = BytesLeft(in) / 12;
   ApplyCowVectorSparseDelta(
       in, adjacency_,
-      [this](std::istream& i, std::size_t owner,
-             std::vector<Neighbor>& list) {
+      [this, max_appended](std::istream& i, std::size_t owner,
+                           std::vector<Neighbor>& list) {
         Require(owner < meta_.size(),
                 "BipartiteGraph::ApplyDelta: neighbor list of no node");
         // Bipartite: a record's neighbors are MACs, a MAC's are records.
@@ -403,10 +425,9 @@ void BipartiteGraph::ApplyDelta(std::istream& in) {
                 "BipartiteGraph::ApplyDelta: neighbor prefix exceeds base");
         list.resize(prefix);
         const std::uint32_t appended = ReadU32(i);
-        // 12 bytes per neighbor (u32 id + f64 weight): a hostile count
-        // fails here instead of reserving up to 64 GiB.
-        RequireAvailable(i, appended, 12,
-                         "BipartiteGraph::ApplyDelta: neighbor list");
+        Require(appended <= max_appended,
+                "BipartiteGraph::ApplyDelta: neighbor list is larger than "
+                "the rest of the stream");
         list.reserve(std::size_t{prefix} + appended);
         for (std::uint32_t e = 0; e < appended; ++e) {
           const NodeId node = ReadU32(i);

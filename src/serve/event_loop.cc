@@ -24,6 +24,11 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// epoll_event.data.u64 value reserved for the worker's wakeup eventfd.
 constexpr std::uint64_t kWakeToken = 0;
 
+/// The mailbox of the worker running on this thread (null elsewhere). A
+/// Send from a worker's own thread comes from its frame handler, and the
+/// worker drains its mailbox before it next waits, so it needs no wakeup.
+thread_local const void* t_own_mailbox = nullptr;
+
 std::uint32_t ReadLengthPrefix(const std::string& in) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(in[0])) |
          static_cast<std::uint32_t>(static_cast<unsigned char>(in[1])) << 8 |
@@ -76,6 +81,7 @@ void EventLoop::Completion::Send(std::string frame, bool close_after) const {
   const MutexLock lock(&mailbox_->mutex);
   if (mailbox_->closed) return;
   mailbox_->parcels.push_back({conn_, slot_, std::move(frame), close_after});
+  if (t_own_mailbox == mailbox_.get()) return;
   // Writing the eventfd under the mutex keeps the fd valid: Stop() closes
   // it only after taking the same mutex and setting `closed`.
   const std::uint64_t one = 1;
@@ -204,6 +210,7 @@ void EventLoop::Adopt(int fd) {
 }
 
 void EventLoop::RunWorker(Worker& worker) {
+  t_own_mailbox = worker.mailbox.get();
   std::vector<epoll_event> events(64);
   std::string scratch(kReadChunk, '\0');
   // Sweep at a fraction of the timeout (≤500ms) so a harvest is never late

@@ -18,7 +18,9 @@
 // in request order no matter how out-of-order the completions arrive.
 //
 // Cross-thread completion delivery goes through a per-worker mailbox
-// (mutex + deque + eventfd). The mailbox outlives the worker via
+// (mutex + deque + eventfd). A completion sent from the worker's own thread
+// (by its frame handler) skips the eventfd: the worker drains the mailbox
+// before its next epoll_wait anyway. The mailbox outlives the worker via
 // shared_ptr and is marked closed after the worker exits, so a completion
 // that fires during shutdown (e.g. from a predict drain) is a silent no-op
 // instead of a use-after-free.
@@ -141,7 +143,9 @@ class EventLoop {
   /// requests including this one — the admission-control input. The
   /// handler must arrange for `done.Send` to be called exactly once; it
   /// must not block (hand blocking work to a pool and complete from
-  /// there).
+  /// there). Short bounded CPU work may run in place — it delays this
+  /// worker's other connections by its length — and a Send made before the
+  /// handler returns is flushed in the same loop iteration.
   using FrameHandler = std::function<void(
       std::string payload, std::size_t inflight, Completion done)>;
   /// Encodes the best-effort error frame for a framing violation that is

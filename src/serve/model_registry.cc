@@ -68,9 +68,16 @@ ModelRegistry::Instruments::Instruments(obs::Registry& obs,
   const obs::Labels labels = {{"model", name}};
   requests = obs.GetCounter("grafics_batcher_requests_total",
                             "Predict records admitted for the model.", labels);
-  tasks = obs.GetCounter("grafics_batcher_batches_total",
-                         "Predict tasks dispatched onto the shared pool.",
-                         labels);
+  tasks = obs.GetCounter(
+      "grafics_batcher_batches_total",
+      "Predict tasks run, on the shared pool or in place on the submitting "
+      "thread.",
+      labels);
+  inline_tasks = obs.GetCounter(
+      "grafics_batcher_inline_tasks_total",
+      "Predict tasks run in place on the submitting thread because the pool "
+      "was idle.",
+      labels);
   queued = obs.GetGauge("grafics_batcher_queue_depth",
                         "Records admitted but not yet started by a worker.",
                         labels);
@@ -89,8 +96,8 @@ ModelRegistry::Instruments::Instruments(obs::Registry& obs,
       obs::PowerOfTwoBuckets(kMaxBatchRecords), labels);
   queue_wait_us = obs.GetHistogram(
       "grafics_batcher_queue_wait_us",
-      "Microseconds a predict task waited between admission and a worker "
-      "starting it.",
+      "Microseconds a predict task waited between admission and its start "
+      "(near 0 for a task run in place).",
       obs::DefaultLatencyBucketsUs(), labels);
   predict_us = obs.GetHistogram(
       "grafics_batcher_predict_us",
@@ -311,20 +318,40 @@ ModelRegistry::SubmitBatch(const std::string& name,
               std::make_exception_ptr(Error(outcome.error)));
         }
       },
-      /*max_queue_depth=*/0);
+      /*max_queue_depth=*/0, /*run_here_if_idle=*/false);
   return futures;
 }
 
 bool ModelRegistry::TrySubmitBatchAsync(const std::string& name,
                                         std::vector<rf::SignalRecord> records,
                                         PredictCallback done,
-                                        std::size_t max_queue_depth) {
+                                        std::size_t max_queue_depth,
+                                        bool run_here_if_idle) {
   Require(done != nullptr,
           "ModelRegistry::TrySubmitBatchAsync: callback required");
   Require(!records.empty(), "ModelRegistry::TrySubmitBatchAsync: empty batch");
   const std::shared_ptr<Entry> entry = Find(name);
   const std::size_t count = records.size();
   auto request = std::make_shared<Request>();
+  request->records = std::move(records);
+  request->done = std::move(done);
+  // In place: the record is started the moment it is admitted, so it never
+  // counts toward `queued` and skips the queue-depth check.
+  if (run_here_if_idle && count == 1 &&
+      pool_->TryRunHere([&entry, &request] {
+        {
+          const MutexLock entry_lock(&entry->mutex);
+          Require(!entry->stopped, "ModelRegistry: predict after Stop");
+          entry->in_flight += 1;
+          request->model = entry->model;
+        }
+        entry->metrics.requests->Add();
+        entry->metrics.inline_tasks->Add();
+        request->admitted = std::chrono::steady_clock::now();
+        RunTask(*entry, std::move(request), 0, 1);
+      })) {
+    return true;
+  }
   {
     const MutexLock entry_lock(&entry->mutex);
     Require(!entry->stopped, "ModelRegistry: predict after Stop");
@@ -342,8 +369,6 @@ bool ModelRegistry::TrySubmitBatchAsync(const std::string& name,
     request->model = entry->model;
   }
   entry->metrics.requests->Add(count);
-  request->records = std::move(records);
-  request->done = std::move(done);
   request->admitted = std::chrono::steady_clock::now();
   // Split at submit time into one contiguous chunk per worker (sizes differ
   // by at most one): a task that fanned out from inside a worker would wait
@@ -353,22 +378,28 @@ bool ModelRegistry::TrySubmitBatchAsync(const std::string& name,
     const std::size_t begin = c * count / chunks;
     const std::size_t end = (c + 1) * count / chunks;
     pool_->Submit([entry, request, begin, end]() mutable {
-      RunChunk(*entry, *request, begin, end);
-      // Release the request (and its callback) before reporting completion,
-      // so a drained model holds no caller state.
-      request.reset();
-      const MutexLock entry_lock(&entry->mutex);
-      entry->in_flight -= end - begin;
-      if (entry->in_flight == 0) entry->drained.NotifyAll();
+      entry->metrics.queued->Sub(static_cast<std::int64_t>(end - begin));
+      RunTask(*entry, std::move(request), begin, end);
     });
   }
   return true;
 }
 
+void ModelRegistry::RunTask(Entry& entry,
+                            std::shared_ptr<const Request> request,
+                            std::size_t begin, std::size_t end) {
+  RunChunk(entry, *request, begin, end);
+  // Release the request (and its callback) before reporting completion, so
+  // a drained model holds no caller state.
+  request.reset();
+  const MutexLock entry_lock(&entry.mutex);
+  entry.in_flight -= end - begin;
+  if (entry.in_flight == 0) entry.drained.NotifyAll();
+}
+
 void ModelRegistry::RunChunk(Entry& entry, const Request& request,
                              std::size_t begin, std::size_t end) {
   const std::size_t count = end - begin;
-  entry.metrics.queued->Sub(static_cast<std::int64_t>(count));
   entry.metrics.tasks->Add();
   std::uint64_t largest = entry.max_task.load(std::memory_order_relaxed);
   while (count > largest &&
@@ -474,6 +505,12 @@ std::vector<ModelStats> ModelRegistry::Stats(
     models.push_back(std::move(stats));
   }
   return models;
+}
+
+std::uint64_t ModelRegistry::InlineTasks(const std::string& name) const {
+  const MutexLock lock(&mutex_);
+  const auto it = entries_.find(name);
+  return it == entries_.end() ? 0 : it->second->metrics.inline_tasks->value();
 }
 
 std::size_t ModelRegistry::size() const {

@@ -7,7 +7,10 @@
 // buildings are loaded. Each query is an independent snapshot-isolated
 // refinement (no work is shared between queries), so nothing waits for a
 // batch to fill: a request of n records becomes min(n, pool threads)
-// contiguous chunk tasks the moment it is admitted.
+// contiguous chunk tasks the moment it is admitted. The one exception is a
+// lone record the caller may run itself (TrySubmitBatchAsync's
+// run_here_if_idle): while the pool is idle it is predicted on the calling
+// thread as a one-record task, with the same accounting and answer.
 //
 // The registry owns the models; serve::Server is a thin transport that
 // decodes frames and routes them here by name (empty name = the default
@@ -41,13 +44,15 @@ class ModelStore;
 namespace grafics::serve {
 
 /// One record's completion, delivered to a TrySubmitBatchAsync callback from
-/// a pool worker. `error` empty means the record was served: floor carries
-/// the prediction, nullopt = discarded (no MAC overlap).
+/// the thread that ran the record's task (a pool worker, or the submitting
+/// thread for a task run in place). `error` empty means the record was
+/// served: floor carries the prediction, nullopt = discarded (no MAC
+/// overlap).
 struct PredictOutcome {
   std::optional<rf::FloorId> floor;
   std::string error;
-  /// Time the record's chunk task waited between admission and a worker
-  /// picking it up, and how long the chunk's predictions took — carried
+  /// Time the record's chunk task waited between admission and its start
+  /// (near 0 for a task run in place), and how long the chunk's predictions took — carried
   /// back so the server's slow-request trace can attribute latency without
   /// re-measuring.
   std::uint64_t queue_wait_us = 0;
@@ -137,9 +142,16 @@ class ModelRegistry {
   /// record from a pool worker, so it must be cheap, must not throw, and
   /// must not wait on other predicts (they may be queued behind it). Throws
   /// for unknown names and after Stop(), like Submit.
+  ///
+  /// With `run_here_if_idle`, a single-record request that finds the pool
+  /// idle (ThreadPool::TryRunHere) is not queued at all: it is predicted on
+  /// the calling thread as a one-record task, `done` runs there before this
+  /// returns, and the pool counts as busy meanwhile, so at most one such
+  /// task runs at a time. Every other request takes the pool path above.
   bool TrySubmitBatchAsync(const std::string& name,
                            std::vector<rf::SignalRecord> records,
-                           PredictCallback done, std::size_t max_queue_depth);
+                           PredictCallback done, std::size_t max_queue_depth,
+                           bool run_here_if_idle);
 
   /// Name/generation/reloadable for every model, sorted by name.
   std::vector<ModelInfo> List() const;
@@ -149,6 +161,10 @@ class ModelRegistry {
   /// name was first loaded (an Unload does not reset them); generation and
   /// max_batch describe the current load.
   std::vector<ModelStats> Stats(const std::string& name_filter = {}) const;
+  /// Predict tasks of `name` that ran on their submitting thread
+  /// (run_here_if_idle) since the name was first loaded; 0 for unknown
+  /// names.
+  std::uint64_t InlineTasks(const std::string& name) const;
   std::size_t size() const;
   bool Has(const std::string& name) const;
   /// Current snapshot of `name` (empty = default); holders keep it alive
@@ -182,8 +198,9 @@ class ModelRegistry {
   struct Instruments {
     Instruments(obs::Registry& obs, const std::string& name);
 
-    obs::Counter* requests;  // records admitted
-    obs::Counter* tasks;     // chunk tasks run
+    obs::Counter* requests;      // records admitted
+    obs::Counter* tasks;         // chunk tasks run, pooled or in place
+    obs::Counter* inline_tasks;  // the tasks run in place
     /// Admitted records no worker has started: the queue depth that
     /// admission control compares against. Raised under the entry mutex at
     /// admission, lowered lock-free by workers.
@@ -216,9 +233,13 @@ class ModelRegistry {
   };
 
   struct Request;
-  /// Runs records [begin, end) of `request` on the calling pool worker.
+  /// Runs records [begin, end) of `request` on the calling thread.
   static void RunChunk(Entry& entry, const Request& request,
                        std::size_t begin, std::size_t end);
+  /// RunChunk, then releases the request and the records' in_flight
+  /// count: the body of every predict task, pooled or in place.
+  static void RunTask(Entry& entry, std::shared_ptr<const Request> request,
+                      std::size_t begin, std::size_t end);
   /// Blocks until every record admitted to `entry` has completed.
   static void Drain(Entry& entry);
   /// Swaps `model` in as the entry's next generation and returns it.

@@ -255,8 +255,9 @@ void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
   }
   // Shared across the per-record completions; the last one to finish
   // encodes and sends the response. The callbacks run on the registry's
-  // pool workers (a request may be split across several), so they only
-  // fill slots — no blocking, no encoding until the request is complete.
+  // pool workers (a request may be split across several), or on this event
+  // worker for a lone record run in place, so they only fill slots — no
+  // blocking, no encoding until the request is complete.
   struct PendingPredict {
     PredictResponse response;
     std::atomic<std::size_t> remaining{0};
@@ -284,10 +285,17 @@ void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
     pending->obs = registry_->obs();
   }
   try {
-    // Completions happen-after this stamp via the pool's queue mutex, and
-    // only the last one touches the trace (after the acq_rel countdown), so
-    // it is never touched from two threads at once.
+    // Completions happen-after this stamp via the pool's queue mutex (or
+    // run on this thread), and only the last one touches the trace (after
+    // the acq_rel countdown), so it is never touched from two threads at
+    // once.
     if (pending->trace != nullptr) pending->trace->Stamp("enqueued");
+    // A single-record predict that is the connection's only open request
+    // runs right here when the pool is idle: no pool task, no worker
+    // wakeup, and the reply is flushed in this loop iteration. It holds up
+    // this worker's other connections for one record's predict at most;
+    // pipelined frames behind it (inflight > 1) and anything arriving while
+    // the pool is busy take the pool.
     const bool admitted = registry_->TrySubmitBatchAsync(
         request.model, std::move(request.records),
         [pending, count](std::size_t index, PredictOutcome outcome) {
@@ -331,7 +339,7 @@ void Server::HandlePredictAsync(PredictRequest request, std::size_t inflight,
             }
           }
         },
-        config_.max_queue_depth);
+        config_.max_queue_depth, /*run_here_if_idle=*/inflight == 1);
     if (!admitted) {
       busy_rejections_->Add();
       done.Send(EncodeFrame(

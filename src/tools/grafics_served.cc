@@ -471,11 +471,13 @@ int main(int argc, char** argv) {
                     transport.requests_rejected_busy));
     for (const serve::ModelStats& stats : registry->Stats()) {
       std::printf("  model %-24s gen %llu: %llu record(s) in %llu "
-                  "task(s), largest %llu\n",
+                  "task(s) (%llu inline), largest %llu\n",
                   stats.name.c_str(),
                   static_cast<unsigned long long>(stats.generation),
                   static_cast<unsigned long long>(stats.requests),
                   static_cast<unsigned long long>(stats.batches),
+                  static_cast<unsigned long long>(
+                      registry->InlineTasks(stats.name)),
                   static_cast<unsigned long long>(stats.max_batch));
     }
     if (pipeline != nullptr) {

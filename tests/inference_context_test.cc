@@ -2,9 +2,27 @@
 // parallel PredictBatch fan-out.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "core/grafics.h"
 #include "core/inference_context.h"
 #include "synth/presets.h"
+
+namespace {
+/// Heap allocations made through operator new on this thread while
+/// `t_count_news` is set (AllocationsPerPredict).
+thread_local bool t_count_news = false;
+thread_local std::size_t t_news = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (t_count_news) ++t_news;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace grafics::core {
 namespace {
@@ -144,6 +162,24 @@ TEST(PredictBatchTest, KeepFoldsAcceptedRecordsBackIn) {
   EXPECT_EQ(f.system.graph().NumRecords(), records_before + accepted);
   // Update semantics: clusters and centroids stay untouched.
   EXPECT_EQ(f.system.clustering().num_clusters(), clusters_before);
+}
+
+TEST(InferenceContextTest, WarmedPredictDoesNotAllocate) {
+  Fixture f;
+  const std::size_t n = std::min<std::size_t>(f.queries.size(), 40);
+  InferenceContext context(f.system);
+  // Warm up: the overlays, the refine loop's per-thread edge table and
+  // every other scratch buffer grow to the largest query's size.
+  std::vector<std::optional<rf::FloorId>> warm(n);
+  for (std::size_t i = 0; i < n; ++i) warm[i] = context.Predict(f.queries[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    t_news = 0;
+    t_count_news = true;
+    const std::optional<rf::FloorId> floor = context.Predict(f.queries[i]);
+    t_count_news = false;
+    EXPECT_EQ(t_news, 0u) << "query " << i;
+    EXPECT_EQ(floor, warm[i]) << "query " << i;
+  }
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 // up hot swaps, and hot-reload from disk that leaves other models untouched.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -67,6 +69,17 @@ std::optional<rf::FloorId> GetWithin(
     return std::nullopt;
   }
   return future.get();
+}
+
+/// Polls `done` every millisecond for up to 30s.
+template <class Predicate>
+bool WaitUntil(Predicate done) {
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
 }
 
 TEST(ModelRegistryTest, LoadListAndDefaultLifecycle) {
@@ -272,6 +285,139 @@ TEST(ModelRegistryTest, WorkerContextFollowsAHotSwap) {
                 next.reference[i])
           << "swap " << swap << " record " << i;
     }
+  }
+}
+
+/// TrySubmitBatchAsync with run_here_if_idle; records each callback's
+/// outcome and the thread it ran on.
+struct InlineProbe {
+  std::vector<PredictOutcome> outcomes;
+  std::vector<std::thread::id> threads;
+  std::atomic<std::size_t> done{0};
+
+  explicit InlineProbe(std::size_t records)
+      : outcomes(records), threads(records) {}
+
+  bool Submit(ModelRegistry& registry, const std::string& name,
+              std::vector<rf::SignalRecord> records) {
+    return registry.TrySubmitBatchAsync(
+        name, std::move(records),
+        [this](std::size_t i, PredictOutcome outcome) {
+          outcomes[i] = std::move(outcome);
+          threads[i] = std::this_thread::get_id();
+          ++done;
+        },
+        /*max_queue_depth=*/0, /*run_here_if_idle=*/true);
+  }
+};
+
+TEST(ModelRegistryTest, LoneRecordOnAnIdlePoolRunsInPlaceBitIdentically) {
+  const Fixture& a = ModelA();
+  ThreadPool pool(2);
+  ModelRegistry registry(1, &pool);
+  registry.Load("alpha", a.model);
+  const std::size_t n = std::min<std::size_t>(a.queries.size(), 8);
+  for (std::size_t i = 0; i < n; ++i) {
+    InlineProbe probe(1);
+    ASSERT_TRUE(probe.Submit(registry, "alpha", {a.queries[i]}));
+    // Answered on this thread before the call returned.
+    ASSERT_EQ(probe.done.load(), 1u) << i;
+    EXPECT_EQ(probe.threads[0], std::this_thread::get_id());
+    EXPECT_TRUE(probe.outcomes[0].error.empty()) << probe.outcomes[0].error;
+    EXPECT_EQ(probe.outcomes[0].floor, a.reference[i]) << i;
+  }
+  EXPECT_EQ(registry.InlineTasks("alpha"), n);
+  ModelStats stats = registry.Stats("alpha")[0];
+  EXPECT_EQ(stats.requests, n);
+  EXPECT_EQ(stats.batches, n);  // every in-place run is one task
+  EXPECT_EQ(stats.queue_depth, 0u);
+
+  // Two records are never run in place: the pool takes them, bit-identical.
+  InlineProbe pair(2);
+  ASSERT_TRUE(pair.Submit(registry, "alpha", {a.queries[0], a.queries[1]}));
+  ASSERT_TRUE(WaitUntil([&] { return pair.done.load() == 2; }));
+  EXPECT_EQ(pair.outcomes[0].floor, a.reference[0]);
+  EXPECT_EQ(pair.outcomes[1].floor, a.reference[1]);
+  EXPECT_NE(pair.threads[0], std::this_thread::get_id());
+  EXPECT_EQ(registry.InlineTasks("alpha"), n);
+  EXPECT_EQ(registry.InlineTasks("no-such-model"), 0u);
+}
+
+TEST(ModelRegistryTest, LoneRecordOnABusyPoolIsQueued) {
+  const Fixture& a = ModelA();
+  ThreadPool pool(1);
+  ModelRegistry registry(1, &pool);
+  registry.Load("alpha", a.model);
+  std::promise<void> open;
+  std::shared_future<void> gate = open.get_future().share();
+  pool.Submit([gate] { gate.wait(); });
+  InlineProbe probe(1);
+  ASSERT_TRUE(probe.Submit(registry, "alpha", {a.queries[0]}));
+  EXPECT_EQ(probe.done.load(), 0u);
+  EXPECT_EQ(registry.Stats("alpha")[0].queue_depth, 1u);
+  open.set_value();
+  ASSERT_TRUE(WaitUntil([&] { return probe.done.load() == 1; }));
+  EXPECT_EQ(probe.outcomes[0].floor, a.reference[0]);
+  EXPECT_NE(probe.threads[0], std::this_thread::get_id());
+  EXPECT_EQ(registry.InlineTasks("alpha"), 0u);
+}
+
+/// Starts a lone in-place predict on `name` whose callback blocks until
+/// `gate` opens; returns once the predict is inside its callback.
+std::thread StartBlockedInlinePredict(ModelRegistry& registry,
+                                      const std::string& name,
+                                      const rf::SignalRecord& record,
+                                      std::shared_future<void> gate,
+                                      std::optional<rf::FloorId>* floor) {
+  std::promise<void> entered;
+  std::future<void> inside = entered.get_future();
+  std::thread submitter([&registry, name, record, gate, floor,
+                         entered = std::move(entered)]() mutable {
+    const bool admitted = registry.TrySubmitBatchAsync(
+        name, {record},
+        [&](std::size_t, PredictOutcome outcome) {
+          *floor = outcome.floor;
+          entered.set_value();
+          gate.wait();
+        },
+        /*max_queue_depth=*/0, /*run_here_if_idle=*/true);
+    EXPECT_TRUE(admitted);
+  });
+  inside.wait();
+  return submitter;
+}
+
+TEST(ModelRegistryTest, UnloadAndStopDrainAnInPlacePredict) {
+  const Fixture& a = ModelA();
+  const Fixture& b = ModelB();
+  for (const bool stop : {false, true}) {
+    ThreadPool pool(1);
+    ModelRegistry registry(1, &pool);
+    registry.Load("alpha", a.model);
+    registry.Load("beta", b.model);
+    std::promise<void> open;
+    std::optional<rf::FloorId> floor;
+    std::thread submitter = StartBlockedInlinePredict(
+        registry, "beta", b.queries[0], open.get_future().share(), &floor);
+    EXPECT_EQ(registry.InlineTasks("beta"), 1u);
+    std::atomic<bool> drained{false};
+    std::thread closer([&] {
+      if (stop) {
+        registry.Stop();
+      } else {
+        registry.Unload("beta");
+      }
+      drained = true;
+    });
+    std::this_thread::sleep_for(50ms);
+    EXPECT_FALSE(drained.load()) << (stop ? "Stop" : "Unload")
+                                 << " returned during an in-place predict";
+    open.set_value();
+    closer.join();
+    submitter.join();
+    EXPECT_TRUE(drained.load());
+    EXPECT_EQ(floor, b.reference[0]);
+    EXPECT_EQ(registry.Has("beta"), stop);
   }
 }
 

@@ -151,6 +151,104 @@ TEST(SerializeTest, GraphWithRemovedMacRoundTrips) {
   EXPECT_EQ(loaded.NumNodes(), g.NumNodes());
 }
 
+/// A hand-written version-2 graph artifact: record node 0 linked to MAC
+/// nodes 1 and 2. Each field can be overridden to plant one defect.
+struct GraphBytes {
+  std::uint64_t num_nodes = 3;
+  std::uint8_t node0_type = 0;  // NodeType::kRecord
+  std::uint64_t num_records = 1;
+  std::uint32_t record_id = 0;
+  std::uint64_t num_macs = 2;
+  std::uint32_t mac1_node = 1;
+  std::uint64_t degree = 2;
+
+  std::string Build() const {
+    std::stringstream out;
+    WriteHeader(out, "GBPG", 2);
+    WriteU64(out, num_nodes);
+    for (const std::uint8_t type :
+         {node0_type, std::uint8_t{1}, std::uint8_t{1}}) {
+      WriteU8(out, type);
+      WriteU8(out, 1);  // active
+    }
+    WriteU64(out, num_records);
+    WriteU32(out, record_id);
+    WriteU64(out, num_macs);
+    WriteU64(out, 0xA1);
+    WriteU32(out, mac1_node);
+    WriteU64(out, 0xA2);
+    WriteU32(out, 2);
+    WriteU64(out, degree);
+    for (const std::uint32_t mac : {1u, 2u}) {
+      WriteU32(out, mac);
+      WriteDouble(out, 0.5);
+    }
+    WriteU64(out, 0);    // removal epoch
+    WriteU64(out, 2);    // edges
+    WriteU64(out, 2);    // active MACs
+    WriteDouble(out, 1.0);
+    for (const double degree_weight : {1.0, 0.5, 0.5}) {
+      WriteDouble(out, degree_weight);
+    }
+    return out.str();
+  }
+};
+
+/// Loads `bytes`, expecting an Error whose message contains `what`.
+void ExpectGraphLoadError(const std::string& bytes, const std::string& what) {
+  std::stringstream in(bytes);
+  try {
+    graph::BipartiteGraph::Load(in);
+    ADD_FAILURE() << "expected an Error containing '" << what << "'";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SerializeTest, HandWrittenGraphLoads) {
+  std::stringstream in(GraphBytes{}.Build());
+  const graph::BipartiteGraph g = graph::BipartiteGraph::Load(in);
+  EXPECT_EQ(g.NumNodes(), 3u);
+  EXPECT_EQ(g.NumRecords(), 1u);
+  EXPECT_EQ(g.NumEdges(), 2u);
+  EXPECT_EQ(*g.FindMacNode(rf::MacAddress(0xA1)), 1u);
+}
+
+TEST(SerializeTest, HostileGraphCountsThrowBeforeTheirLoops) {
+  // Each count is checked against the bytes left before its loop, so the
+  // error names the bound, not the end of the stream.
+  constexpr std::uint64_t kHuge = 1ULL << 40;
+  const std::string bound = "larger than the rest of the stream";
+  GraphBytes nodes;
+  nodes.num_nodes = kHuge;
+  ExpectGraphLoadError(nodes.Build(), bound);
+  GraphBytes records;
+  records.num_records = kHuge;
+  ExpectGraphLoadError(records.Build(), bound);
+  GraphBytes macs;
+  macs.num_macs = kHuge;
+  ExpectGraphLoadError(macs.Build(), bound);
+  GraphBytes degree;
+  degree.degree = kHuge;
+  ExpectGraphLoadError(degree.Build(), bound);
+}
+
+TEST(SerializeTest, GraphIdsOfTheWrongTypeThrow) {
+  // A MAC node in the record table would load as MAC-MAC edges.
+  GraphBytes mac_as_record;
+  mac_as_record.record_id = 1;
+  ExpectGraphLoadError(mac_as_record.Build(), "bad record id");
+  // A record node in the MAC map would make a query's MAC a record.
+  GraphBytes record_as_mac;
+  record_as_mac.mac1_node = 0;
+  ExpectGraphLoadError(record_as_mac.Build(), "bad MAC node id");
+  // A node type outside the enum.
+  GraphBytes bad_type;
+  bad_type.node0_type = 7;
+  ExpectGraphLoadError(bad_type.Build(), "bad node type");
+}
+
 TEST(SerializeTest, EmbeddingStoreRoundTrip) {
   Rng rng(2);
   embed::EmbeddingStore store(6, 4, rng);

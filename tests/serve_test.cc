@@ -866,6 +866,77 @@ TEST(ServerTest, MaxInflightBusyRejectsTheExcessButKeepsReplyOrder) {
   server.Stop();
 }
 
+TEST(ServerTest, LonePredictsOnAnIdleServerRunInPlaceNeverQueued) {
+  const Fixture& f = ModelA();
+  ThreadPool pool(1);
+  auto registry = std::make_shared<ModelRegistry>(1, &pool);
+  registry->Load("alpha", f.model);
+  Server server(registry);
+  server.Start();
+  // Sample the queue depth for the whole run: a lone predict on an idle
+  // pool is never queued, not even for an instant.
+  std::atomic<bool> polling{true};
+  std::atomic<std::uint64_t> deepest{0};
+  std::thread poller([&] {
+    while (polling.load()) {
+      const std::uint64_t depth = registry->Stats("alpha")[0].queue_depth;
+      if (depth > deepest.load()) deepest = depth;
+      std::this_thread::sleep_for(50us);
+    }
+  });
+  Client client("127.0.0.1", server.port());
+  const std::size_t n = std::min<std::size_t>(f.queries.size(), 16);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(client.Predict(f.queries[i]), f.reference[i]) << i;
+  }
+  polling = false;
+  poller.join();
+  server.Stop();
+  EXPECT_EQ(deepest.load(), 0u);
+  EXPECT_EQ(registry->InlineTasks("alpha"), n);
+  const ModelStats stats = registry->Stats("alpha")[0];
+  EXPECT_EQ(stats.requests, n);
+  EXPECT_EQ(stats.batches, n);
+  EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+TEST(ServerTest, PipelinedBurstRunsOnlyItsFirstFrameInPlaceInOrder) {
+  const Fixture& f = ModelA();
+  auto registry = AlphaRegistry();
+  Server server(registry);
+  server.Start();
+  const int fd = ConnectRaw(server.port());
+  const std::size_t n = std::min<std::size_t>(f.queries.size(), 16);
+  std::string burst;
+  for (std::size_t i = 0; i < n; ++i) {
+    burst += EncodeFrame(PredictRequest{"", {f.queries[i]}});
+  }
+  // One loopback send arrives as one segment, so the event worker parses
+  // the whole burst in one read: the first frame is its connection's only
+  // open request and runs in place; every later one finds it still open
+  // (its reply is flushed after the read) and goes to the pool.
+  SendAllRaw(fd, burst);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::optional<std::string> payload = ReceiveFramePayload(fd);
+    ASSERT_TRUE(payload.has_value()) << "reply " << i;
+    const Message reply = DecodePayload(*payload);
+    const auto* response = std::get_if<PredictResponse>(&reply);
+    ASSERT_NE(response, nullptr) << "reply " << i;
+    ASSERT_EQ(response->results.size(), 1u);
+    const PredictResult& result = response->results.front();
+    ASSERT_NE(result.status, PredictStatus::kError) << result.error;
+    const std::optional<rf::FloorId> prediction =
+        result.status == PredictStatus::kOk
+            ? std::optional<rf::FloorId>(result.floor)
+            : std::nullopt;
+    EXPECT_EQ(prediction, f.reference[i]) << "reply " << i;
+  }
+  ::close(fd);
+  server.Stop();
+  EXPECT_EQ(registry->InlineTasks("alpha"), 1u);
+  EXPECT_EQ(registry->Stats("alpha")[0].batches, n);
+}
+
 TEST(ServerTest, HotSwapUnderPipelinedTrafficStaysBitIdentical) {
   const Fixture& a = ModelA();
   const Fixture& b = ModelB();  // same building + queries, different seed

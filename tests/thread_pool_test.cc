@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace grafics {
@@ -68,6 +72,64 @@ TEST(ThreadPoolTest, ManyWavesOfWork) {
     });
   }
   EXPECT_EQ(total.load(), 10L * 999L * 1000L / 2L);
+}
+
+TEST(ThreadPoolTest, TryRunHereRunsOnTheCallerOnlyWhileThePoolIsIdle) {
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  EXPECT_TRUE(pool.TryRunHere([&] { ran_on = std::this_thread::get_id(); }));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  // One running task makes the pool busy, though a worker is still free.
+  std::promise<void> open;
+  std::shared_future<void> gate = open.get_future().share();
+  std::promise<void> started;
+  auto running = pool.Submit([&started, gate] {
+    started.set_value();
+    gate.wait();
+  });
+  started.get_future().wait();
+  bool ran = false;
+  EXPECT_FALSE(pool.TryRunHere([&] { ran = true; }));
+  EXPECT_FALSE(ran);
+  open.set_value();
+  running.get();
+  // The task's claim is released just after its future resolves.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!pool.TryRunHere([&] { ran = true; }) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(ran);
+}
+
+TEST(ThreadPoolTest, TryRunHereClaimIsExclusiveAndCountsAsBusy) {
+  ThreadPool pool(2);
+  std::atomic<int> inner_claims{0};
+  std::atomic<int> submitted_ran{0};
+  ASSERT_TRUE(pool.TryRunHere([&] {
+    // A second claim — nested on this thread or from another — fails while
+    // the first one runs.
+    if (pool.TryRunHere([] {})) ++inner_claims;
+    std::thread other([&] {
+      if (pool.TryRunHere([] {})) ++inner_claims;
+    });
+    other.join();
+    // Submitted work still runs on the workers meanwhile.
+    pool.Submit([&] { ++submitted_ran; }).get();
+  }));
+  EXPECT_EQ(inner_claims.load(), 0);
+  EXPECT_EQ(submitted_ran.load(), 1);
+}
+
+TEST(ThreadPoolTest, TryRunHereReleasesTheClaimWhenTheTaskThrows) {
+  ThreadPool pool(1);
+  EXPECT_THROW(pool.TryRunHere([] { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+  bool ran = false;
+  EXPECT_TRUE(pool.TryRunHere([&] { ran = true; }));
+  EXPECT_TRUE(ran);
 }
 
 }  // namespace
